@@ -5,6 +5,7 @@ routing, cost metrics, reliability analysis, and comparison datasets."""
 from .errors import (
     AddressOutOfRangeError,
     ClosedFormApproximationWarning,
+    CountOutOfRangeError,
     FamilyMismatchError,
     IndexOutOfRangeError,
     InvalidDimensionError,

@@ -224,6 +224,8 @@ def _cmd_table(args: argparse.Namespace) -> str:
 
 
 def _cmd_reliability(args: argparse.Namespace) -> str:
+    if args.f_max < 1:
+        raise _UsageError(f"--f-max must be >= 1, got {args.f_max}")
     if args.specs:
         specs = [_parse_spec_triple(text) for text in args.specs]
     else:
@@ -245,7 +247,9 @@ def _cmd_reliability(args: argparse.Namespace) -> str:
 
 def _cmd_simulate(args: argparse.Namespace) -> str:
     spec = _spec_from_args(args)
-    estimate = monte_carlo_connectivity(spec, args.failures, args.trials, args.seed)
+    estimate = monte_carlo_connectivity(
+        spec, args.failures, args.trials, args.seed, node_cap=args.max_nodes
+    )
     record = {
         "family": spec.family.value,
         "l": spec.rows,

@@ -45,6 +45,10 @@ class TooManyFaultsError(TehnetError, ValueError):
     """More faults were requested than elements available to fail."""
 
 
+class CountOutOfRangeError(TehnetError, ValueError):
+    """A fault or trial count is below its lower bound."""
+
+
 class UnreachableError(TehnetError, RuntimeError):
     """No path exists between the requested endpoints."""
 

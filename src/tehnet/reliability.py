@@ -18,9 +18,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import TooManyFaultsError
+from .errors import CountOutOfRangeError, TooManyFaultsError
 from .routing import distance_closed
 from .topology import (
+    DEFAULT_NODE_CAP,
     NetworkSpec,
     Topology,
     build_graph,
@@ -216,7 +217,11 @@ def antipodal_node(spec: NetworkSpec) -> int:
 
 
 def monte_carlo_connectivity(
-    spec: NetworkSpec, failures: int, trials: int, seed: int
+    spec: NetworkSpec,
+    failures: int,
+    trials: int,
+    seed: int,
+    node_cap: int = DEFAULT_NODE_CAP,
 ) -> float:
     """Estimate source-destination connectivity under incident-link faults.
 
@@ -229,11 +234,16 @@ def monte_carlo_connectivity(
     would reduce to the same result in the same order.
 
     Raises:
+        CountOutOfRangeError: If ``trials`` is below 1 or ``failures``
+            below 0.
+        ResourceLimitError: If node_count exceeds ``node_cap``.
         TooManyFaultsError: If ``failures`` exceeds the source degree.
     """
     if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    topology = build_graph(spec)
+        raise CountOutOfRangeError(f"trials must be >= 1, got {trials}")
+    if failures < 0:
+        raise CountOutOfRangeError(f"failure count must be >= 0, got {failures}")
+    topology = build_graph(spec, node_cap)
     adjacency = topology.adjacency
     source = 0
     incident = [frozenset((source, nbr)) for nbr in adjacency[source]]

@@ -266,17 +266,38 @@ def build_graph(spec: NetworkSpec, node_cap: int = DEFAULT_NODE_CAP) -> Topology
             f"{spec.label()} has {spec.node_count} nodes, above the cap of "
             f"{node_cap}; raise the cap to build it anyway"
         )
-    edges: set[tuple[int, int, str]] = set()
-    for index in range(spec.node_count):
-        addr = decode_address(spec, index)
-        for nbr, kind in neighbors(spec, addr):
-            other = encode_address(spec, nbr)
-            a, b = (index, other) if index < other else (other, index)
-            edges.add((a, b, kind))
-    return Topology(spec=spec, edges=tuple(sorted(edges)))
+    rows, cols, cube_nodes = spec.rows, spec.cols, spec.cube_nodes
+    # Each node in index order adds its steps to higher-index neighbours,
+    # ascending.  A cube step (+2**d, bit d clear) is below cube_nodes and
+    # a ring step is a multiple of it, so cube steps sort first.
+    cube_steps = [
+        [(1 << d, hypercube_kind(d)) for d in range(spec.cube_dim) if not c >> d & 1]
+        for c in range(cube_nodes)
+    ]
+    edges: list[tuple[int, int, str]] = []
+    for pos in range(rows * cols):
+        row, col = divmod(pos, cols)
+        # A ring of 2 names one neighbour twice; a ring of 1 names pos.
+        ring = {
+            row * cols + (col + 1) % cols: TORUS_ROW,
+            row * cols + (col - 1) % cols: TORUS_ROW,
+            (row + 1) % rows * cols + col: TORUS_COLUMN,
+            (row - 1) % rows * cols + col: TORUS_COLUMN,
+        }
+        ring_steps = [
+            ((nbr - pos) * cube_nodes, kind)
+            for nbr, kind in sorted(ring.items())
+            if nbr > pos
+        ]
+        edges += [
+            (src, src + step, kind)
+            for src, steps in enumerate(cube_steps, pos * cube_nodes)
+            for step, kind in steps + ring_steps
+        ]
+    return Topology(spec=spec, edges=tuple(edges))
 
 
-# Deterministic edge colors for DOT output, keyed by kind.
+# Deterministic edge colors for DOT output: torus kinds, then cube bits.
 _DOT_TORUS_COLORS = {TORUS_ROW: "#1f77b4", TORUS_COLUMN: "#2ca02c"}
 _DOT_CUBE_PALETTE = (
     "#d62728",
@@ -287,13 +308,6 @@ _DOT_CUBE_PALETTE = (
     "#bcbd22",
     "#17becf",
 )
-
-
-def _dot_color(kind: str) -> str:
-    if kind in _DOT_TORUS_COLORS:
-        return _DOT_TORUS_COLORS[kind]
-    dim = int(kind.removeprefix(_HYPERCUBE_PREFIX))
-    return _DOT_CUBE_PALETTE[dim % len(_DOT_CUBE_PALETTE)]
 
 
 def export_topology(topology: Topology, format: str) -> bytes:
@@ -313,25 +327,45 @@ def export_topology(topology: Topology, format: str) -> bytes:
         lines.extend(f"{src},{dst},{kind}" for src, dst, kind in topology.edges)
         return ("\n".join(lines) + "\n").encode()
     if format == "json":
-        doc = {
-            "family": spec.family.value,
-            "l": spec.rows,
-            "m": spec.cols,
-            "n_cube_nodes": spec.cube_nodes,
-            "node_count": spec.node_count,
-            "edges": [
-                {"src": src, "dst": dst, "kind": kind}
-                for src, dst, kind in topology.edges
-            ],
-        }
-        return (json.dumps(doc, indent=2) + "\n").encode()
+        head = json.dumps(
+            {
+                "family": spec.family.value,
+                "l": spec.rows,
+                "m": spec.cols,
+                "n_cube_nodes": spec.cube_nodes,
+                "node_count": spec.node_count,
+                "edges": [],
+            },
+            indent=2,
+        )
+        # The edges, written directly in json.dumps' indent=2 layout; kinds
+        # are plain identifiers, which JSON quotes without escaping.
+        items = ",\n".join(
+            f'    {{\n      "src": {src},\n      "dst": {dst},\n'
+            f'      "kind": "{kind}"\n    }}'
+            for src, dst, kind in topology.edges
+        )
+        if items:
+            head = head.replace('"edges": []', f'"edges": [\n{items}\n  ]')
+        return (head + "\n").encode()
     if format == "dot":
         name = f"{spec.family.value}_{spec.rows}_{spec.cols}_{spec.cube_nodes}"
         lines = [f'graph "{name}" {{']
-        for index in range(spec.node_count):
-            lines.append(f'  {index} [label="{decode_address(spec, index)}"];')
-        for src, dst, kind in topology.edges:
-            lines.append(f'  {src} -- {dst} [color="{_dot_color(kind)}"];')
+        cols, cube_nodes = spec.cols, spec.cube_nodes
+        lines += [
+            f'  {(row * cols + col) * cube_nodes + cube} [label="{row},{col},{cube}"];'
+            for row in range(spec.rows)
+            for col in range(cols)
+            for cube in range(cube_nodes)
+        ]
+        colors = _DOT_TORUS_COLORS | {
+            hypercube_kind(d): _DOT_CUBE_PALETTE[d % len(_DOT_CUBE_PALETTE)]
+            for d in range(spec.cube_dim)
+        }
+        lines += [
+            f'  {src} -- {dst} [color="{colors[kind]}"];'
+            for src, dst, kind in topology.edges
+        ]
         lines.append("}")
         return ("\n".join(lines) + "\n").encode()
     raise UnsupportedFormatError(f"unknown topology format {format!r}")

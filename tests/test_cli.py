@@ -175,6 +175,39 @@ class TestCommands:
         assert "estimate: 1.0" in out
 
 
+class TestInputBounds:
+    @pytest.mark.parametrize(
+        "bad,message",
+        [(("--f", "1", "--trials", "0"), "trials"), (("--f", "-1"), "failure")],
+    )
+    def test_simulate_counts_are_domain_errors(self, bad, message):
+        code, out, err = invoke(
+            "simulate", "--family", "teh", "--l", "4", "--m", "4", "--cube", "8", *bad
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and message in err
+        assert err.count("\n") == 1
+
+    def test_simulate_honours_max_nodes(self):
+        code, out, err = invoke(
+            "simulate", "--max-nodes", "100", "--family", "teh",
+            "--l", "16", "--m", "16", "--cube", "16", "--f", "1",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("resource limit:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_reliability_f_max_below_one(self, fmt):
+        code, out, err = invoke("reliability", "--f-max", "0", "--format", fmt)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error:") and "--f-max must be >= 1" in err
+        assert err.count("\n") == 1
+
+
 class TestSelfCheck:
     def test_passes_on_a_fresh_build(self):
         code, out, _ = invoke("self-check", "--max-nodes", "256")

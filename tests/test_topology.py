@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bruteforce import adjacency_by_enumeration, edge_count, edge_set
-from strategies import small_specs, spec_with_addresses
+from strategies import CUBE_SIZES, small_specs, spec_with_addresses
 from tehnet import (
     AddressOutOfRangeError,
     Family,
@@ -255,3 +255,69 @@ class TestExport:
     def test_unknown_format(self):
         with pytest.raises(UnsupportedFormatError):
             export_topology(build_graph(hypercube_spec(2)), "yaml")
+
+
+def _small_specs():
+    """Every valid spec of every family with l, m in 1..6 and N in 1..16."""
+    specs = [hypercube_spec(n) for n in CUBE_SIZES]
+    specs += [torus_spec(l, m) for l in range(1, 7) for m in range(1, 7)]
+    specs += [
+        teh_spec(l, m, n) for l in range(1, 7) for m in range(1, 7) for n in CUBE_SIZES
+    ]
+    return specs
+
+
+SMALL_SPECS = _small_specs()
+SMALL_SPEC_IDS = [
+    f"{spec.family.value}-{spec.rows}-{spec.cols}-{spec.cube_nodes}"
+    for spec in SMALL_SPECS
+]
+
+
+def edges_by_neighbors(spec):
+    """The union over all nodes of neighbors(), undirected and sorted."""
+    edges = set()
+    for index in range(spec.node_count):
+        for nbr, kind in neighbors(spec, decode_address(spec, index)):
+            other = encode_address(spec, nbr)
+            edges.add((min(index, other), max(index, other), kind))
+    return tuple(sorted(edges))
+
+
+class TestBuildAndExportOracles:
+    @pytest.mark.parametrize("spec", SMALL_SPECS, ids=SMALL_SPEC_IDS)
+    def test_edges_match_neighbor_union(self, spec):
+        assert build_graph(spec).edges == edges_by_neighbors(spec)
+
+    @pytest.mark.parametrize("spec", SMALL_SPECS, ids=SMALL_SPEC_IDS)
+    def test_json_matches_json_dumps(self, spec):
+        topology = build_graph(spec)
+        doc = {
+            "family": spec.family.value,
+            "l": spec.rows,
+            "m": spec.cols,
+            "n_cube_nodes": spec.cube_nodes,
+            "node_count": spec.node_count,
+            "edges": [
+                {"src": src, "dst": dst, "kind": kind}
+                for src, dst, kind in topology.edges
+            ],
+        }
+        expected = (json.dumps(doc, indent=2) + "\n").encode()
+        assert export_topology(topology, "json") == expected
+
+    def test_json_without_edges(self):
+        topology = build_graph(hypercube_spec(1))
+        assert topology.edges == ()
+        assert export_topology(topology, "json") == (
+            b'{\n  "family": "hypercube",\n  "l": 1,\n  "m": 1,\n'
+            b'  "n_cube_nodes": 1,\n  "node_count": 1,\n  "edges": []\n}\n'
+        )
+
+    @pytest.mark.parametrize("spec", SMALL_SPECS, ids=SMALL_SPEC_IDS)
+    def test_dot_node_labels_match_decode(self, spec):
+        lines = export_topology(build_graph(spec), "dot").decode().splitlines()
+        assert lines[1 : 1 + spec.node_count] == [
+            f'  {index} [label="{decode_address(spec, index)}"];'
+            for index in range(spec.node_count)
+        ]
