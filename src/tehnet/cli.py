@@ -190,6 +190,11 @@ def _cmd_route(args: argparse.Namespace) -> str:
     spec = _spec_from_args(args)
     src = _parse_address(args.src, "--from")
     dst = _parse_address(args.dst, "--to")
+    if spec.node_count > args.max_nodes:
+        raise ResourceLimitError(
+            f"{spec.label()} has {spec.node_count} nodes, above the cap of "
+            f"{args.max_nodes}; raise --max-nodes to route on it anyway"
+        )
     path = route(spec, src, dst)
     if args.format == "json":
         return json.dumps(path.to_json_dict(), indent=2) + "\n"

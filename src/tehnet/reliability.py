@@ -126,10 +126,7 @@ def render_reliability_text(specs: list[NetworkSpec], rows: list[ReliabilityRow]
         [str(row.failures)] + [format_reliability_cell(cell) for cell in row.cells]
         for row in rows
     ]
-    widths = [
-        max(len(headers[col]), *(len(line[col]) for line in body))
-        for col in range(len(headers))
-    ]
+    widths = [max(map(len, column)) for column in zip(headers, *body)]
     out = ["  ".join(h.rjust(w) for h, w in zip(headers, widths))]
     for line in body:
         out.append("  ".join(cell.rjust(w) for cell, w in zip(line, widths)))
@@ -162,8 +159,14 @@ def inject_faults(
     never failed.
 
     Raises:
+        CountOutOfRangeError: If either count is below 0.
         TooManyFaultsError: If either count exceeds what is available.
     """
+    if count_links < 0 or count_nodes < 0:
+        raise CountOutOfRangeError(
+            f"fault counts must be >= 0, got {count_links} links and "
+            f"{count_nodes} nodes"
+        )
     links = [(src, dst) for src, dst, _ in topology.edges]
     eligible_nodes = list(range(1, topology.node_count))
     if count_links > len(links):

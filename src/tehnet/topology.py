@@ -245,11 +245,13 @@ class Topology:
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Sorted neighbour lists, indexed by node."""
+        # The edges ascend by (src, dst), so each list fills in ascending
+        # order: the lower neighbours first, then the higher ones.
         adj: list[list[int]] = [[] for _ in range(self.node_count)]
         for src, dst, _ in self.edges:
             adj[src].append(dst)
             adj[dst].append(src)
-        return tuple(tuple(sorted(nbrs)) for nbrs in adj)
+        return tuple(map(tuple, adj))
 
 
 def build_graph(spec: NetworkSpec, node_cap: int = DEFAULT_NODE_CAP) -> Topology:
@@ -321,13 +323,17 @@ def export_topology(topology: Topology, format: str) -> bytes:
     Raises:
         UnsupportedFormatError: For an unknown format name.
     """
-    spec = topology.spec
+    if format not in ("csv", "json", "dot"):
+        raise UnsupportedFormatError(f"unknown topology format {format!r}")
+    spec, edges = topology.spec, topology.edges
+    # Each node index is turned into text once; the lines only look it up.
+    names = list(map(str, range(spec.node_count)))
     if format == "csv":
-        lines = ["src_index,dst_index,kind"]
-        lines.extend(f"{src},{dst},{kind}" for src, dst, kind in topology.edges)
-        return ("\n".join(lines) + "\n").encode()
+        lines = ["src_index,dst_index,kind\n"]
+        lines += [f"{names[src]},{names[dst]},{kind}\n" for src, dst, kind in edges]
+        return "".join(lines).encode()
     if format == "json":
-        head = json.dumps(
+        header = json.dumps(
             {
                 "family": spec.family.value,
                 "l": spec.rows,
@@ -338,34 +344,34 @@ def export_topology(topology: Topology, format: str) -> bytes:
             },
             indent=2,
         )
+        if not edges:
+            return (header + "\n").encode()
         # The edges, written directly in json.dumps' indent=2 layout; kinds
-        # are plain identifiers, which JSON quotes without escaping.
-        items = ",\n".join(
-            f'    {{\n      "src": {src},\n      "dst": {dst},\n'
+        # are plain identifiers, which JSON quotes without escaping.  Each
+        # item starts with its separator, and the first one drops the comma.
+        head, tail = header.split('"edges": []')
+        items = [
+            f',\n    {{\n      "src": {names[src]},\n      "dst": {names[dst]},\n'
             f'      "kind": "{kind}"\n    }}'
-            for src, dst, kind in topology.edges
-        )
-        if items:
-            head = head.replace('"edges": []', f'"edges": [\n{items}\n  ]')
-        return (head + "\n").encode()
-    if format == "dot":
-        name = f"{spec.family.value}_{spec.rows}_{spec.cols}_{spec.cube_nodes}"
-        lines = [f'graph "{name}" {{']
-        cols, cube_nodes = spec.cols, spec.cube_nodes
-        lines += [
-            f'  {(row * cols + col) * cube_nodes + cube} [label="{row},{col},{cube}"];'
-            for row in range(spec.rows)
-            for col in range(cols)
-            for cube in range(cube_nodes)
+            for src, dst, kind in edges
         ]
-        colors = _DOT_TORUS_COLORS | {
-            hypercube_kind(d): _DOT_CUBE_PALETTE[d % len(_DOT_CUBE_PALETTE)]
-            for d in range(spec.cube_dim)
-        }
-        lines += [
-            f'  {src} -- {dst} [color="{colors[kind]}"];'
-            for src, dst, kind in topology.edges
-        ]
-        lines.append("}")
-        return ("\n".join(lines) + "\n").encode()
-    raise UnsupportedFormatError(f"unknown topology format {format!r}")
+        items[0] = items[0][1:]
+        return "".join([head, '"edges": [', *items, "\n  ]", tail, "\n"]).encode()
+    # The format is dot.
+    name = f"{spec.family.value}_{spec.rows}_{spec.cols}_{spec.cube_nodes}"
+    lines = [f'graph "{name}" {{\n']
+    positions = [
+        f"{row},{col}," for row in range(spec.rows) for col in range(spec.cols)
+    ]
+    labels = [pos + cube for pos in positions for cube in names[: spec.cube_nodes]]
+    lines += [f'  {index} [label="{label}"];\n' for index, label in zip(names, labels)]
+    colors = _DOT_TORUS_COLORS | {
+        hypercube_kind(d): _DOT_CUBE_PALETTE[d % len(_DOT_CUBE_PALETTE)]
+        for d in range(spec.cube_dim)
+    }
+    lines += [
+        f'  {names[src]} -- {names[dst]} [color="{colors[kind]}"];\n'
+        for src, dst, kind in edges
+    ]
+    lines.append("}\n")
+    return "".join(lines).encode()

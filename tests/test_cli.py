@@ -199,6 +199,16 @@ class TestInputBounds:
         assert err.startswith("resource limit:")
         assert err.count("\n") == 1
 
+    def test_route_honours_max_nodes(self):
+        code, out, err = invoke(
+            "route", "--family", "torus", "--l", "8", "--m", "6",
+            "--from", "0,0,0", "--to", "4,3,0", "--max-nodes", "10",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("resource limit:") and "48 nodes" in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
     def test_reliability_f_max_below_one(self, fmt):
         code, out, err = invoke("reliability", "--f-max", "0", "--format", fmt)

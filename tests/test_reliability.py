@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from tehnet import (
+    CountOutOfRangeError,
     TooManyFaultsError,
     build_graph,
     inject_faults,
@@ -108,6 +109,15 @@ class TestTableRendering:
         assert lines[7].split() == ["7", "00", "12.5", "22.2", "30"]
         assert lines[9].split() == ["9", "—", "—", "00", "10"]
 
+    def test_text_without_rows_is_the_header(self):
+        text = render_reliability_text(SCALED_SPECS, [])
+        assert text == (
+            "failures  (4, 4, 8)  (4, 4, 16)  (4, 4, 32)  (4, 4, 64)\n"
+        )
+        assert text.splitlines() == render_reliability_text(
+            SCALED_SPECS, reliability_table(SCALED_SPECS, 1)
+        ).splitlines()[:1]
+
     def test_csv_blank_for_absent(self):
         rows = reliability_table([teh_spec(4, 4, 8)], 8)
         csv_text = render_reliability_csv([teh_spec(4, 4, 8)], rows)
@@ -150,6 +160,12 @@ class TestInjectFaults:
         topology = build_graph(teh_spec(2, 2, 2))
         with pytest.raises(TooManyFaultsError):
             inject_faults(topology, 0, 8, 1)
+
+    @pytest.mark.parametrize("counts", [(-1, 0), (0, -1)])
+    def test_negative_counts(self, counts):
+        topology = build_graph(teh_spec(2, 2, 2))
+        with pytest.raises(CountOutOfRangeError, match="must be >= 0"):
+            inject_faults(topology, *counts, 1)
 
 
 class TestMonteCarlo:

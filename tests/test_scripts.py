@@ -1,0 +1,47 @@
+"""Smoke tests: the scripts in scripts/ run and reproduce the shipped tables."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).parents[1]
+DATA_DIR = ROOT / "src" / "tehnet" / "data"
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+def test_generate_tables_reproduces_shipped_tables(tmp_path):
+    result = run_script("generate_tables.py", "--out-dir", str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    for name in ("table1_links", "table2_cost", "table3_reliability"):
+        assert (tmp_path / f"{name}.csv").read_bytes() == (
+            DATA_DIR / f"{name}.csv"
+        ).read_bytes()
+    assert (tmp_path / "table1_links.txt").read_bytes() == (
+        GOLDEN_DIR / "table1.txt"
+    ).read_bytes()
+    assert (tmp_path / "table3_reliability.txt").read_bytes() == (
+        GOLDEN_DIR / "table3.txt"
+    ).read_bytes()
+
+
+def test_scaling_report_prints_both_modes():
+    result = run_script("scaling_report.py", "--steps", "1")
+    assert result.returncode == 0, result.stderr
+    assert "mode: torus expansion" in result.stdout
+    assert "mode: hypercube expansion" in result.stdout
+    assert result.stdout.count("  step 1: ") == 2

@@ -27,6 +27,7 @@ from tehnet import (
     torus_spec,
     validate_spec,
 )
+from tehnet.topology import _DOT_CUBE_PALETTE, _DOT_TORUS_COLORS
 
 
 class TestValidateSpec:
@@ -321,3 +322,77 @@ class TestBuildAndExportOracles:
             f'  {index} [label="{decode_address(spec, index)}"];'
             for index in range(spec.node_count)
         ]
+
+
+def reference_csv(topology):
+    lines = ["src_index,dst_index,kind"]
+    lines += [f"{s},{d},{k}" for s, d, k in topology.edges]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _dot_color(kind):
+    if kind in _DOT_TORUS_COLORS:
+        return _DOT_TORUS_COLORS[kind]
+    return _DOT_CUBE_PALETTE[int(kind.removeprefix("hypercube_dim_")) % 7]
+
+
+def reference_dot(topology):
+    spec = topology.spec
+    name = f"{spec.family.value}_{spec.rows}_{spec.cols}_{spec.cube_nodes}"
+    lines = [f'graph "{name}" {{']
+    lines += [
+        f'  {index} [label="{decode_address(spec, index)}"];'
+        for index in range(spec.node_count)
+    ]
+    lines += [f'  {s} -- {d} [color="{_dot_color(k)}"];' for s, d, k in topology.edges]
+    lines.append("}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def reference_json(topology):
+    spec = topology.spec
+    doc = {
+        "family": spec.family.value,
+        "l": spec.rows,
+        "m": spec.cols,
+        "n_cube_nodes": spec.cube_nodes,
+        "node_count": spec.node_count,
+        "edges": [{"src": s, "dst": d, "kind": k} for s, d, k in topology.edges],
+    }
+    return (json.dumps(doc, indent=2) + "\n").encode()
+
+
+REFERENCE_RENDERERS = {
+    "csv": reference_csv,
+    "dot": reference_dot,
+    "json": reference_json,
+}
+
+
+class TestExportAndAdjacencyReferences:
+    @pytest.mark.parametrize("spec", SMALL_SPECS, ids=SMALL_SPEC_IDS)
+    def test_csv_matches_reference(self, spec):
+        topology = build_graph(spec)
+        assert export_topology(topology, "csv") == reference_csv(topology)
+
+    @pytest.mark.parametrize("spec", SMALL_SPECS, ids=SMALL_SPEC_IDS)
+    def test_dot_matches_reference(self, spec):
+        topology = build_graph(spec)
+        assert export_topology(topology, "dot") == reference_dot(topology)
+
+    @pytest.mark.parametrize("spec", SMALL_SPECS, ids=SMALL_SPEC_IDS)
+    def test_adjacency_matches_enumeration(self, spec):
+        adjacency = build_graph(spec).adjacency
+        oracle = adjacency_by_enumeration(spec.rows, spec.cols, spec.cube_nodes)
+        assert len(adjacency) == spec.node_count
+        for index, nbrs in enumerate(adjacency):
+            assert all(a < b for a, b in zip(nbrs, nbrs[1:]))
+            assert {tuple(decode_address(spec, nbr)) for nbr in nbrs} == oracle[
+                tuple(decode_address(spec, index))
+            ]
+
+    @pytest.mark.parametrize("fmt", sorted(REFERENCE_RENDERERS))
+    @pytest.mark.parametrize("dims", [(16, 32, 8), (9, 11, 32)])
+    def test_pool_sized_exports_match_reference(self, dims, fmt):
+        topology = build_graph(teh_spec(*dims))
+        assert export_topology(topology, fmt) == REFERENCE_RENDERERS[fmt](topology)
