@@ -16,14 +16,9 @@ from pathlib import Path
 from typing import IO, Sequence
 
 from .errors import ClosedFormApproximationWarning, ResourceLimitError, TehnetError
-from .metrics import (
-    METRICS_CSV_HEADER,
-    DiameterConvention,
-    link_count_simple,
-    metrics_csv_line,
-    metrics_report,
-)
+from .metrics import DiameterConvention, link_count_simple, metrics_report
 from .reliability import (
+    ReliabilityRow,
     monte_carlo_connectivity,
     reliability_table,
     render_reliability_csv,
@@ -37,7 +32,6 @@ from .tables import (
     render_comparison_csv,
     render_comparison_json,
     render_comparison_text,
-    scaling_csv,
     scaling_sequence,
     table1_rows,
     table2_rows,
@@ -85,16 +79,18 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_common_arguments(
-    parser: argparse.ArgumentParser, convention_default: str = "exact"
-) -> None:
+def _add_format(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=["csv", "json", "text"], default="text")
-    parser.add_argument(
-        "--convention", choices=sorted(_CONVENTIONS), default=convention_default
-    )
-    parser.add_argument(
-        "--max-nodes", type=int, default=DEFAULT_NODE_CAP, dest="max_nodes"
-    )
+
+
+def _add_convention(parser: argparse.ArgumentParser, default: str) -> None:
+    parser.add_argument("--convention", choices=sorted(_CONVENTIONS), default=default)
+
+
+def _add_max_nodes(
+    parser: argparse.ArgumentParser, default: int = DEFAULT_NODE_CAP
+) -> None:
+    parser.add_argument("--max-nodes", type=int, default=default, dest="max_nodes")
 
 
 def _spec_from_args(args: argparse.Namespace) -> NetworkSpec:
@@ -140,6 +136,51 @@ def _parse_spec_triple(text: str) -> NetworkSpec:
     return validate_spec(Family.TEH, rows, cols, cube_nodes)
 
 
+def _json(doc: object) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _csv_cell(value: object) -> str:
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+def _csv(records: list[dict]) -> str:
+    """A header line from the first record's keys, then one line per record."""
+    lines = [",".join(records[0])]
+    lines += [",".join(map(_csv_cell, record.values())) for record in records]
+    return "\n".join(lines) + "\n"
+
+
+def _render(record: dict, fmt: str, notes: Sequence[str] = ()) -> str:
+    """One record as csv, json, or ``key: value`` lines followed by ``notes``."""
+    if fmt == "csv":
+        return _csv([record])
+    if fmt == "json":
+        return _json(record)
+    lines = [f"{key}: {value}" for key, value in record.items()]
+    return "\n".join([*lines, *notes]) + "\n"
+
+
+def _render_reliability(
+    specs: list[NetworkSpec], rows: list[ReliabilityRow], fmt: str, head: dict
+) -> str:
+    """A reliability grid; ``head`` holds the json keys written before it."""
+    if fmt == "csv":
+        return render_reliability_csv(specs, rows)
+    if fmt == "json":
+        return _json(
+            {
+                **head,
+                "specs": [spec.label() for spec in specs],
+                "rows": [
+                    {"failures": row.failures, "cells": list(row.cells)}
+                    for row in rows
+                ],
+            }
+        )
+    return render_reliability_text(specs, rows)
+
+
 def _cube_bits(spec: NetworkSpec, cube: int) -> str:
     width = max(spec.cube_dim, 1)
     return format(cube, f"0{width}b")
@@ -151,25 +192,13 @@ def _cmd_metrics(args: argparse.Namespace) -> str:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ClosedFormApproximationWarning)
         report = metrics_report(spec, convention)
-    if args.format == "csv":
-        return f"{METRICS_CSV_HEADER}\n{metrics_csv_line(report)}\n"
-    if args.format == "json":
-        return json.dumps(report.to_json_dict(), indent=2) + "\n"
-    lines = [f"{key}: {value}" for key, value in report.to_json_dict().items()]
+    notes = []
     if spec.has_torus_part and (spec.rows < 3 or spec.cols < 3):
-        lines.append(
+        notes.append(
             f"note: links counts coincident ring links twice; the simple "
             f"graph has {link_count_simple(spec)}"
         )
-    return "\n".join(lines) + "\n"
-
-
-def _route_csv(path: RoutePath) -> str:
-    lines = ["step,move,i,j,k"]
-    lines.append(f"0,,{path.hops[0].row},{path.hops[0].col},{path.hops[0].cube}")
-    for step, (move, hop) in enumerate(zip(path.moves, path.hops[1:]), start=1):
-        lines.append(f"{step},{move.label},{hop.row},{hop.col},{hop.cube}")
-    return "\n".join(lines) + "\n"
+    return _render(report.to_json_dict(), args.format, notes)
 
 
 def _route_text(path: RoutePath) -> str:
@@ -197,30 +226,23 @@ def _cmd_route(args: argparse.Namespace) -> str:
         )
     path = route(spec, src, dst)
     if args.format == "json":
-        return json.dumps(path.to_json_dict(), indent=2) + "\n"
+        return _json(path.to_json_dict())
     if args.format == "csv":
-        return _route_csv(path)
+        moves = ["", *(move.label for move in path.moves)]
+        return _csv(
+            [
+                {"step": step, "move": move, "i": hop.row, "j": hop.col, "k": hop.cube}
+                for step, (move, hop) in enumerate(zip(moves, path.hops))
+            ]
+        )
     return _route_text(path)
 
 
 def _cmd_table(args: argparse.Namespace) -> str:
-    convention = _CONVENTIONS[args.convention]
     if args.id == 3:
         grid = table3_grid()
-        specs, rows = list(grid.specs), list(grid.rows)
-        if args.format == "csv":
-            return render_reliability_csv(specs, rows)
-        if args.format == "json":
-            doc = {
-                "specs": [spec.label() for spec in specs],
-                "rows": [
-                    {"failures": row.failures, "cells": list(row.cells)}
-                    for row in rows
-                ],
-            }
-            return json.dumps(doc, indent=2) + "\n"
-        return render_reliability_text(specs, rows)
-    rows = table1_rows() if args.id == 1 else table2_rows(convention)
+        return _render_reliability(list(grid.specs), list(grid.rows), args.format, {})
+    rows = table1_rows() if args.id == 1 else table2_rows(_CONVENTIONS[args.convention])
     if args.format == "csv":
         return render_comparison_csv(rows)
     if args.format == "json":
@@ -236,18 +258,7 @@ def _cmd_reliability(args: argparse.Namespace) -> str:
     else:
         specs = [_parse_spec_triple(text) for text in ("4,4,8", "4,4,16", "4,4,32", "4,4,64")]
     rows = reliability_table(specs, args.f_max)
-    if args.format == "csv":
-        return render_reliability_csv(specs, rows)
-    if args.format == "json":
-        doc = {
-            "f_max": args.f_max,
-            "specs": [spec.label() for spec in specs],
-            "rows": [
-                {"failures": row.failures, "cells": list(row.cells)} for row in rows
-            ],
-        }
-        return json.dumps(doc, indent=2) + "\n"
-    return render_reliability_text(specs, rows)
+    return _render_reliability(specs, rows, args.format, {"f_max": args.f_max})
 
 
 def _cmd_simulate(args: argparse.Namespace) -> str:
@@ -265,13 +276,7 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
         "seed": args.seed,
         "estimate": estimate,
     }
-    if args.format == "json":
-        return json.dumps(record, indent=2) + "\n"
-    if args.format == "csv":
-        header = ",".join(record)
-        values = ",".join(str(value) for value in record.values())
-        return f"{header}\n{values}\n"
-    return "\n".join(f"{key}: {value}" for key, value in record.items()) + "\n"
+    return _render(record, args.format)
 
 
 def _cmd_export(args: argparse.Namespace) -> str:
@@ -281,28 +286,30 @@ def _cmd_export(args: argparse.Namespace) -> str:
 
 
 def _cmd_scale(args: argparse.Namespace) -> str:
+    if args.steps < 1:
+        raise _UsageError("--steps must be >= 1")
     spec = _spec_from_args(args)
     steps = scaling_sequence(
         ScalingMode(args.mode), spec, args.steps, node_cap=args.max_nodes
     )
+    records = [
+        {
+            "step": number,
+            "mode": step.mode.value,
+            "family": step.spec.family.value,
+            "l": step.spec.rows,
+            "m": step.spec.cols,
+            "N": step.spec.cube_nodes,
+            "nodes": step.spec.node_count,
+            "degree": step.degree,
+            "existing_nodes_reconfigured": step.existing_nodes_reconfigured,
+        }
+        for number, step in enumerate(steps, start=1)
+    ]
     if args.format == "json":
-        doc = [
-            {
-                "step": number,
-                "mode": step.mode.value,
-                "family": step.spec.family.value,
-                "l": step.spec.rows,
-                "m": step.spec.cols,
-                "N": step.spec.cube_nodes,
-                "nodes": step.spec.node_count,
-                "degree": step.degree,
-                "existing_nodes_reconfigured": step.existing_nodes_reconfigured,
-            }
-            for number, step in enumerate(steps, start=1)
-        ]
-        return json.dumps(doc, indent=2) + "\n"
+        return _json(records)
     if args.format == "csv":
-        return scaling_csv(steps)
+        return _csv(records)
     lines = [
         f"{number}. {step.spec.label()} nodes={step.spec.node_count} "
         f"degree={step.degree} "
@@ -332,19 +339,22 @@ def _build_parser() -> _Parser:
 
     p_metrics = sub.add_parser("metrics", help="closed-form network metrics")
     _add_spec_arguments(p_metrics)
-    _add_common_arguments(p_metrics)
+    _add_format(p_metrics)
+    _add_convention(p_metrics, "exact")
 
     p_route = sub.add_parser("route", help="deterministic shortest path")
     _add_spec_arguments(p_route)
-    _add_common_arguments(p_route)
+    _add_format(p_route)
+    _add_max_nodes(p_route)
     p_route.add_argument("--from", dest="src", required=True, help="source i,j,k")
     p_route.add_argument("--to", dest="dst", required=True, help="destination i,j,k")
 
     p_table = sub.add_parser("table", help="comparison tables 1-3")
     p_table.add_argument("--id", type=int, choices=[1, 2, 3], required=True)
+    _add_format(p_table)
     # The reference tables quote square-convention costs, so that is the
     # default here (metrics defaults to exact).
-    _add_common_arguments(p_table, convention_default="square")
+    _add_convention(p_table, "square")
 
     p_rel = sub.add_parser("reliability", help="reliability grid")
     p_rel.add_argument("--f-max", type=int, dest="f_max", default=9)
@@ -355,11 +365,12 @@ def _build_parser() -> _Parser:
         metavar="L,M,N",
         help="repeatable; defaults to the (4,4,8..64) series",
     )
-    _add_common_arguments(p_rel)
+    _add_format(p_rel)
 
     p_sim = sub.add_parser("simulate", help="Monte-Carlo fault connectivity")
     _add_spec_arguments(p_sim)
-    _add_common_arguments(p_sim)
+    _add_format(p_sim)
+    _add_max_nodes(p_sim)
     p_sim.add_argument("--f", type=int, dest="failures", required=True)
     p_sim.add_argument("--trials", type=int, default=1000)
     p_sim.add_argument("--seed", type=int, default=0)
@@ -372,20 +383,19 @@ def _build_parser() -> _Parser:
         default="csv",
         dest="export_format",
     )
-    p_export.add_argument(
-        "--max-nodes", type=int, default=DEFAULT_NODE_CAP, dest="max_nodes"
-    )
+    _add_max_nodes(p_export)
 
     p_scale = sub.add_parser("scale", help="scale-up sequences")
     _add_spec_arguments(p_scale)
-    _add_common_arguments(p_scale)
+    _add_format(p_scale)
+    _add_max_nodes(p_scale)
     p_scale.add_argument("--mode", choices=["torus", "hypercube"], required=True)
     p_scale.add_argument("--steps", type=int, required=True)
 
     p_check = sub.add_parser(
         "self-check", aliases=["self_check"], help="run the built-in oracle suite"
     )
-    p_check.add_argument("--max-nodes", type=int, default=512, dest="max_nodes")
+    _add_max_nodes(p_check, 512)
     p_check.add_argument("--data-dir", dest="data_dir", help=argparse.SUPPRESS)
 
     return parser
@@ -417,8 +427,6 @@ def run(
             text, code = _cmd_self_check(args)
             out.write(text)
             return code
-        if getattr(args, "steps", None) is not None and args.steps < 1:
-            raise _UsageError("--steps must be >= 1")
         text = _HANDLERS[args.command](args)
     except _UsageError as exc:
         err.write(f"usage error: {exc}\n")

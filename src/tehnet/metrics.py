@@ -59,14 +59,6 @@ class MetricsReport:
         }
 
 
-METRICS_CSV_HEADER = "family,l,m,N,nodes,degree,links,diameter,cost,convention"
-
-
-def metrics_csv_line(report: MetricsReport) -> str:
-    d = report.to_json_dict()
-    return ",".join(str(d[key]) for key in METRICS_CSV_HEADER.split(","))
-
-
 def _warn_if_approximate(spec: NetworkSpec) -> None:
     if spec.has_torus_part and (spec.rows < 3 or spec.cols < 3):
         warnings.warn(

@@ -19,13 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CountOutOfRangeError, TooManyFaultsError
-from .routing import distance_closed
 from .topology import (
     DEFAULT_NODE_CAP,
     NetworkSpec,
+    NodeAddress,
     Topology,
     build_graph,
-    decode_address,
+    encode_address,
 )
 
 
@@ -209,14 +209,14 @@ def _reaches(adjacency, start: int, goal: int, removed: set[frozenset[int]]) -> 
 
 
 def antipodal_node(spec: NetworkSpec) -> int:
-    """The lowest-index node at maximum closed-form distance from node 0."""
-    origin = decode_address(spec, 0)
-    best_index, best_dist = 0, -1
-    for index in range(spec.node_count):
-        dist = distance_closed(spec, origin, decode_address(spec, index))
-        if dist > best_dist:
-            best_index, best_dist = index, dist
-    return best_index
+    """The lowest-index node at maximum closed-form distance from node 0.
+
+    Each ring is farthest at half its size (the lower of two on odd
+    rings) and the cube at the all-ones label; indices are row-major.
+    """
+    return encode_address(
+        spec, NodeAddress(spec.rows // 2, spec.cols // 2, spec.cube_nodes - 1)
+    )
 
 
 def monte_carlo_connectivity(

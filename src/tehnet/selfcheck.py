@@ -28,7 +28,7 @@ from .reliability import (
 )
 from .routing import bfs_distance, distance_closed, route
 from .tables import render_comparison_csv, table1_rows, table2_rows, table3_grid
-from .topology import NodeAddress, build_graph, decode_address, teh_spec
+from .topology import NodeAddress, build_graph, decode_address, encode_address, teh_spec
 
 GOLDEN_FILES = {
     "table1": "table1_links.csv",
@@ -54,25 +54,25 @@ def _check_transitivity() -> str:
     for dims in ((3, 4, 4), (2, 2, 8)):
         spec = teh_spec(*dims)
         edges = set(build_graph(spec).edges)
+        nodes = [decode_address(spec, index) for index in range(spec.node_count)]
         for da, db, dc in product(
             range(spec.rows), range(spec.cols), range(spec.cube_nodes)
         ):
-            mapped = set()
-            for src, dst, kind in edges:
-                pair = []
-                for index in (src, dst):
-                    addr = decode_address(spec, index)
-                    image = NodeAddress(
+            # image[i] is the index that node i moves to under the shift.
+            image = [
+                encode_address(
+                    spec,
+                    NodeAddress(
                         (addr.row + da) % spec.rows,
                         (addr.col + db) % spec.cols,
                         addr.cube ^ dc,
-                    )
-                    pair.append(
-                        (image.row * spec.cols + image.col) * spec.cube_nodes
-                        + image.cube
-                    )
-                a, b = sorted(pair)
-                mapped.add((a, b, kind))
+                    ),
+                )
+                for addr in nodes
+            ]
+            mapped = {
+                (*sorted((image[src], image[dst])), kind) for src, dst, kind in edges
+            }
             if mapped != edges:
                 return f"shift ({da},{db},{dc}) does not preserve {spec.label()}"
     return ""

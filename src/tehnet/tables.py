@@ -59,26 +59,19 @@ TABLE3_F_MAX = 9
 class ComparisonRow:
     """One processor-count column of the comparison tables.
 
-    ``flagged`` names the networks whose exact-convention value differs
-    from the square-convention one (only populated for cost rows under
-    the exact convention).
+    ``values`` maps each of :data:`NETWORK_KEYS` to its cell.  ``flagged``
+    names the networks whose exact-convention value differs from the
+    square-convention one (only populated for cost rows under the exact
+    convention).
     """
 
     processors: int
-    hypercube: int
-    torus: int
-    teh_16_16: int
+    values: dict[str, int] = field(hash=False)
     teh_16_16_cube_nodes: int
-    teh_lm_16: int
     flagged: frozenset[str] = field(default_factory=frozenset)
 
     def value(self, network: str) -> int:
-        return {
-            "hypercube": self.hypercube,
-            "torus": self.torus,
-            "teh_16_16_N": self.teh_16_16,
-            "teh_lm_16": self.teh_lm_16,
-        }[network]
+        return self.values[network]
 
 
 def _nearest_even_root(node_count: int) -> int:
@@ -106,11 +99,13 @@ def table1_rows() -> list[ComparisonRow]:
         rows.append(
             ComparisonRow(
                 processors=processors,
-                hypercube=_hypercube_links(processors),
-                torus=2 * processors,
-                teh_16_16=processors * (4 + cube_nodes.bit_length() - 1) // 2,
+                values={
+                    "hypercube": _hypercube_links(processors),
+                    "torus": 2 * processors,
+                    "teh_16_16_N": processors * (4 + cube_nodes.bit_length() - 1) // 2,
+                    "teh_lm_16": 4 * processors,
+                },
                 teh_16_16_cube_nodes=cube_nodes,
-                teh_lm_16=4 * processors,
             )
         )
     return rows
@@ -128,16 +123,16 @@ def table2_rows(
     rows = []
     for links_row in table1_rows():
         processors = links_row.processors
+        links = links_row.values
         cube_dim = processors.bit_length() - 1
         embed_dim = links_row.teh_16_16_cube_nodes.bit_length() - 1
         torus_part = processors // 16
 
         square = {
-            "hypercube": links_row.hypercube * cube_dim,
-            "torus": links_row.torus * square_torus_diameter(processors),
-            "teh_16_16_N": links_row.teh_16_16 * (16 + embed_dim),
-            "teh_lm_16": links_row.teh_lm_16
-            * (_nearest_even_root(torus_part) + 4),
+            "hypercube": links["hypercube"] * cube_dim,
+            "torus": links["torus"] * square_torus_diameter(processors),
+            "teh_16_16_N": links["teh_16_16_N"] * (16 + embed_dim),
+            "teh_lm_16": links["teh_lm_16"] * (_nearest_even_root(torus_part) + 4),
         }
         if convention is DiameterConvention.SQUARE_APPROX:
             values, flagged = square, frozenset()
@@ -146,10 +141,9 @@ def table2_rows(
             e_rows, e_cols = _pow2_split(torus_part)
             values = {
                 "hypercube": square["hypercube"],
-                "torus": links_row.torus * (t_rows // 2 + t_cols // 2),
+                "torus": links["torus"] * (t_rows // 2 + t_cols // 2),
                 "teh_16_16_N": square["teh_16_16_N"],
-                "teh_lm_16": links_row.teh_lm_16
-                * (e_rows // 2 + e_cols // 2 + 4),
+                "teh_lm_16": links["teh_lm_16"] * (e_rows // 2 + e_cols // 2 + 4),
             }
             flagged = frozenset(
                 key for key in NETWORK_KEYS if values[key] != square[key]
@@ -157,11 +151,8 @@ def table2_rows(
         rows.append(
             ComparisonRow(
                 processors=processors,
-                hypercube=values["hypercube"],
-                torus=values["torus"],
-                teh_16_16=values["teh_16_16_N"],
+                values=values,
                 teh_16_16_cube_nodes=links_row.teh_16_16_cube_nodes,
-                teh_lm_16=values["teh_lm_16"],
                 flagged=flagged,
             )
         )
@@ -341,27 +332,3 @@ def render_comparison_text(rows: list[ComparisonRow]) -> str:
     if any_flagged:
         out.append("* differs from the square-convention value")
     return "\n".join(out) + "\n"
-
-
-def scaling_csv(steps: list[ScalingStep]) -> str:
-    header = "step,mode,family,l,m,N,nodes,degree,existing_nodes_reconfigured"
-    lines = [header]
-    for number, step in enumerate(steps, start=1):
-        spec = step.spec
-        lines.append(
-            ",".join(
-                str(part)
-                for part in (
-                    number,
-                    step.mode.value,
-                    spec.family.value,
-                    spec.rows,
-                    spec.cols,
-                    spec.cube_nodes,
-                    spec.node_count,
-                    step.degree,
-                    str(step.existing_nodes_reconfigured).lower(),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"

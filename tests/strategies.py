@@ -1,10 +1,21 @@
-"""Shared hypothesis strategies for small network specs and addresses."""
+"""Shared hypothesis strategies and spec lists for small networks."""
 
 from hypothesis import strategies as st
 
-from tehnet import NodeAddress, teh_spec
+from tehnet import NodeAddress, hypercube_spec, teh_spec, torus_spec
 
 CUBE_SIZES = (1, 2, 4, 8, 16)
+
+#: Every valid spec of every family with l, m in 1..6 and N in 1..16.
+SMALL_SPECS = [hypercube_spec(n) for n in CUBE_SIZES]
+SMALL_SPECS += [torus_spec(l, m) for l in range(1, 7) for m in range(1, 7)]
+SMALL_SPECS += [
+    teh_spec(l, m, n) for l in range(1, 7) for m in range(1, 7) for n in CUBE_SIZES
+]
+SMALL_SPEC_IDS = [
+    f"{spec.family.value}-{spec.rows}-{spec.cols}-{spec.cube_nodes}"
+    for spec in SMALL_SPECS
+]
 
 
 @st.composite

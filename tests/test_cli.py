@@ -12,7 +12,48 @@ import pytest
 from tehnet.cli import run
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+CLI_GOLDEN_DIR = GOLDEN_DIR / "cli"
 DATA_DIR = Path(__file__).parents[1] / "src" / "tehnet" / "data"
+
+_TEH_4_4_16 = ("--family", "teh", "--l", "4", "--m", "4", "--cube", "16")
+_CLI_GOLDEN_CASES = {
+    "metrics_teh_4_6_8": (
+        "metrics", "--family", "teh", "--l", "4", "--m", "6", "--cube", "8",
+    ),
+    "route_teh_5_6_16": (
+        "route", "--family", "teh", "--l", "5", "--m", "6", "--cube", "16",
+        "--from", "0,0,0", "--to", "3,4,13",
+    ),
+    "simulate_teh_4_4_8": (
+        "simulate", "--family", "teh", "--l", "4", "--m", "4", "--cube", "8",
+        "--f", "3", "--trials", "50", "--seed", "42",
+    ),
+    "scale_torus": ("scale", *_TEH_4_4_16, "--mode", "torus", "--steps", "4"),
+    "scale_hypercube": ("scale", *_TEH_4_4_16, "--mode", "hypercube", "--steps", "4"),
+    "reliability_default": ("reliability",),
+    "reliability_custom": (
+        "reliability", "--spec", "3,3,2", "--spec", "4,4,8", "--f-max", "12",
+    ),
+}
+_EXTENSIONS = {"csv": "csv", "json": "json", "text": "txt"}
+#: (golden file name, argv) pairs pinning stdout of every command and format
+#: that the table goldens do not cover.
+CLI_GOLDEN = [
+    (f"{name}.{_EXTENSIONS[fmt]}", (*argv, "--format", fmt))
+    for name, argv in _CLI_GOLDEN_CASES.items()
+    for fmt in _EXTENSIONS
+]
+CLI_GOLDEN.append(
+    (
+        "metrics_teh_2_2_8.txt",
+        ("metrics", "--family", "teh", "--l", "2", "--m", "2", "--cube", "8",
+         "--format", "text"),
+    )
+)
+CLI_GOLDEN += [
+    (f"table{table_id}.json", ("table", "--id", str(table_id), "--format", "json"))
+    for table_id in (1, 2, 3)
+]
 
 
 def invoke(*argv):
@@ -21,7 +62,38 @@ def invoke(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+_TEH_4_4_8 = ("--family", "teh", "--l", "4", "--m", "4", "--cube", "8")
+_VALID_ARGV = {
+    "metrics": ("metrics", *_TEH_4_4_8),
+    "route": ("route", *_TEH_4_4_8, "--from", "0,0,0", "--to", "1,1,1"),
+    "table": ("table", "--id", "2"),
+    "reliability": ("reliability",),
+    "simulate": ("simulate", *_TEH_4_4_8, "--f", "1", "--trials", "5"),
+    "scale": ("scale", *_TEH_4_4_8, "--mode", "torus", "--steps", "2"),
+}
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            ("route", "--convention", "square"),
+            ("reliability", "--convention", "square"),
+            ("simulate", "--convention", "square"),
+            ("scale", "--convention", "square"),
+            ("metrics", "--max-nodes", "1"),
+            ("table", "--max-nodes", "1"),
+            ("reliability", "--max-nodes", "1"),
+        ],
+    )
+    def test_option_the_command_does_not_read(self, command, flag, value):
+        argv = _VALID_ARGV[command]
+        assert invoke(*argv)[0] == 0
+        code, out, err = invoke(*argv, flag, value)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error:") and flag in err
+        assert err.count("\n") == 1
+
     def test_success(self):
         code, out, err = invoke("table", "--id", "1", "--format", "csv")
         assert code == 0
@@ -106,6 +178,14 @@ class TestGoldenOutput:
         code, out, _ = invoke("table", "--id", table_id, "--format", "csv")
         assert code == 0
         assert out == (GOLDEN_DIR / golden).read_text()
+
+    @pytest.mark.parametrize(
+        "golden,argv", CLI_GOLDEN, ids=[golden for golden, _ in CLI_GOLDEN]
+    )
+    def test_command_output(self, golden, argv):
+        code, out, err = invoke(*argv)
+        assert (code, err) == (0, "")
+        assert out == (CLI_GOLDEN_DIR / golden).read_text()
 
     def test_convention_alias(self):
         square = invoke("table", "--id", "2", "--format", "csv",

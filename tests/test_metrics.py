@@ -1,5 +1,7 @@
 """Closed-form metrics against graph oracles and the reference cells."""
 
+import io
+import json
 import warnings
 
 import pytest
@@ -23,7 +25,13 @@ from tehnet import (
     topological_cost,
     torus_spec,
 )
-from tehnet.metrics import METRICS_CSV_HEADER, metrics_csv_line
+from tehnet.cli import run
+
+
+def metrics_output(fmt, *spec_args):
+    out = io.StringIO()
+    assert run(["metrics", *spec_args, "--format", fmt], out, io.StringIO()) == 0
+    return out.getvalue()
 
 
 class TestLinkCount:
@@ -160,10 +168,15 @@ class TestMetricsReport:
         assert (report.links, report.diameter, report.cost) == (448, 7, 3136)
 
     def test_csv_line(self):
-        line = metrics_csv_line(metrics_report(teh_spec(16, 16, 4)))
-        assert METRICS_CSV_HEADER.count(",") == line.count(",")
+        header, line = metrics_output(
+            "csv", "--family", "teh", "--l", "16", "--m", "16", "--cube", "4"
+        ).splitlines()
+        assert header.count(",") == line.count(",")
         assert line == "teh,16,16,4,1024,6,3072,18,55296,exact"
 
     def test_json_dict_key_order(self):
-        keys = list(metrics_report(hypercube_spec(4)).to_json_dict())
-        assert keys == METRICS_CSV_HEADER.split(",")
+        spec_args = ("--family", "hypercube", "--cube", "4")
+        header = metrics_output("csv", *spec_args).splitlines()[0]
+        json_keys = list(json.loads(metrics_output("json", *spec_args)))
+        assert json_keys == header.split(",")
+        assert json_keys == list(metrics_report(hypercube_spec(4)).to_json_dict())

@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from strategies import SMALL_SPEC_IDS, SMALL_SPECS
 from tehnet import (
     CountOutOfRangeError,
     TooManyFaultsError,
     build_graph,
+    decode_address,
+    distance_closed,
     inject_faults,
     monte_carlo_connectivity,
     reliability_fraction,
@@ -24,6 +27,17 @@ from tehnet.reliability import (
 )
 
 SCALED_SPECS = [teh_spec(4, 4, n) for n in (8, 16, 32, 64)]
+
+
+def antipodal_by_scan(spec):
+    """Reference: scan every node for the first at the largest distance."""
+    origin = decode_address(spec, 0)
+    best_index, best_dist = 0, -1
+    for index in range(spec.node_count):
+        dist = distance_closed(spec, origin, decode_address(spec, index))
+        if dist > best_dist:
+            best_index, best_dist = index, dist
+    return best_index
 
 
 class TestAnalyticalModel:
@@ -195,6 +209,13 @@ class TestMonteCarlo:
         spec = teh_spec(4, 4, 8)
         # (2, 2, 7) is the first address at the full diameter 2 + 2 + 3.
         assert antipodal_node(spec) == 87
+
+    @pytest.mark.parametrize(
+        "spec", [*SMALL_SPECS, teh_spec(16, 16, 64)],
+        ids=[*SMALL_SPEC_IDS, "teh-16-16-64"],
+    )
+    def test_antipodal_matches_scan(self, spec):
+        assert antipodal_node(spec) == antipodal_by_scan(spec)
 
     def test_too_many_incident_faults(self):
         with pytest.raises(TooManyFaultsError):

@@ -1,5 +1,6 @@
 """Comparison datasets, scaling sequences, and their renderings."""
 
+import io
 from pathlib import Path
 
 import pytest
@@ -23,8 +24,8 @@ from tehnet.tables import (
     render_comparison_csv,
     render_comparison_json,
     render_comparison_text,
-    scaling_csv,
 )
+from tehnet.cli import run
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -89,7 +90,7 @@ class TestCostTable:
     def test_exact_convention_uses_rectangular_diameters(self):
         rows = table2_rows(DiameterConvention.EXACT)
         # 512-processor torus as 16x32: 2*512 links times diameter 8+16.
-        assert rows[0].torus == 1024 * 24
+        assert rows[0].value("torus") == 1024 * 24
 
 
 class TestReliabilityGrid:
@@ -160,8 +161,11 @@ class TestScalingSequence:
         ]
 
     def test_csv_rendering(self):
-        steps = scaling_sequence(ScalingMode.EXPAND_TORUS, teh_spec(4, 4, 16), 2)
-        lines = scaling_csv(steps).splitlines()
+        out = io.StringIO()
+        argv = ["scale", "--family", "teh", "--l", "4", "--m", "4", "--cube", "16",
+                "--mode", "torus", "--steps", "2", "--format", "csv"]
+        assert run(argv, out, io.StringIO()) == 0
+        lines = out.getvalue().splitlines()
         assert lines[0].startswith("step,mode,family")
         assert lines[1] == "1,torus,teh,4,8,16,512,8,false"
 

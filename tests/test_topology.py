@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bruteforce import adjacency_by_enumeration, edge_count, edge_set
-from strategies import CUBE_SIZES, small_specs, spec_with_addresses
+from strategies import SMALL_SPEC_IDS, SMALL_SPECS, small_specs, spec_with_addresses
 from tehnet import (
     AddressOutOfRangeError,
     Family,
@@ -256,23 +256,6 @@ class TestExport:
     def test_unknown_format(self):
         with pytest.raises(UnsupportedFormatError):
             export_topology(build_graph(hypercube_spec(2)), "yaml")
-
-
-def _small_specs():
-    """Every valid spec of every family with l, m in 1..6 and N in 1..16."""
-    specs = [hypercube_spec(n) for n in CUBE_SIZES]
-    specs += [torus_spec(l, m) for l in range(1, 7) for m in range(1, 7)]
-    specs += [
-        teh_spec(l, m, n) for l in range(1, 7) for m in range(1, 7) for n in CUBE_SIZES
-    ]
-    return specs
-
-
-SMALL_SPECS = _small_specs()
-SMALL_SPEC_IDS = [
-    f"{spec.family.value}-{spec.rows}-{spec.cols}-{spec.cube_nodes}"
-    for spec in SMALL_SPECS
-]
 
 
 def edges_by_neighbors(spec):
