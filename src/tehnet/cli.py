@@ -63,9 +63,17 @@ class _UsageError(Exception):
     pass
 
 
+class _HelpRequested(Exception):
+    """Carries the help text of ``--help`` back to :func:`run`."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
+
+    def print_help(self, file: IO[str] | None = None) -> None:
+        # --help calls this, then exits; run writes the text to out instead.
+        raise _HelpRequested(self.format_help())
 
 
 def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
@@ -83,7 +91,7 @@ def _add_format(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=["csv", "json", "text"], default="text")
 
 
-def _add_convention(parser: argparse.ArgumentParser, default: str) -> None:
+def _add_convention(parser: argparse.ArgumentParser, default: str | None) -> None:
     parser.add_argument("--convention", choices=sorted(_CONVENTIONS), default=default)
 
 
@@ -239,10 +247,14 @@ def _cmd_route(args: argparse.Namespace) -> str:
 
 
 def _cmd_table(args: argparse.Namespace) -> str:
+    if args.convention is not None and args.id != 2:
+        raise _UsageError(f"table --id {args.id} does not take --convention")
     if args.id == 3:
         grid = table3_grid()
         return _render_reliability(list(grid.specs), list(grid.rows), args.format, {})
-    rows = table1_rows() if args.id == 1 else table2_rows(_CONVENTIONS[args.convention])
+    # Square is the default because the reference tables quote it.
+    convention = _CONVENTIONS[args.convention or "square"]
+    rows = table1_rows() if args.id == 1 else table2_rows(convention)
     if args.format == "csv":
         return render_comparison_csv(rows)
     if args.format == "json":
@@ -352,9 +364,7 @@ def _build_parser() -> _Parser:
     p_table = sub.add_parser("table", help="comparison tables 1-3")
     p_table.add_argument("--id", type=int, choices=[1, 2, 3], required=True)
     _add_format(p_table)
-    # The reference tables quote square-convention costs, so that is the
-    # default here (metrics defaults to exact).
-    _add_convention(p_table, "square")
+    _add_convention(p_table, None)
 
     p_rel = sub.add_parser("reliability", help="reliability grid")
     p_rel.add_argument("--f-max", type=int, dest="f_max", default=9)
@@ -428,6 +438,9 @@ def run(
             out.write(text)
             return code
         text = _HANDLERS[args.command](args)
+    except _HelpRequested as exc:
+        out.write(str(exc))
+        return EXIT_OK
     except _UsageError as exc:
         err.write(f"usage error: {exc}\n")
         return EXIT_USAGE

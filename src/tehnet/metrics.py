@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -129,21 +128,6 @@ def _convention_diameter(spec: NetworkSpec, convention: DiameterConvention) -> i
     return square_torus_diameter(spec.rows * spec.cols) + spec.cube_dim
 
 
-def _eccentricity(adjacency, start: int) -> int:
-    dist = [-1] * len(adjacency)
-    dist[start] = 0
-    queue = deque([start])
-    far = 0
-    while queue:
-        node = queue.popleft()
-        for nbr in adjacency[node]:
-            if dist[nbr] < 0:
-                dist[nbr] = dist[node] + 1
-                far = dist[nbr]
-                queue.append(nbr)
-    return far
-
-
 def diameter_bfs(topology: Topology, all_pairs: bool = False, cap: int = 4096) -> int:
     """Diameter by breadth-first search over the explicit edge set.
 
@@ -161,10 +145,8 @@ def diameter_bfs(topology: Topology, all_pairs: bool = False, cap: int = 4096) -
             f"all-pairs diameter on {topology.node_count} nodes exceeds the "
             f"cap of {cap}"
         )
-    adjacency = topology.adjacency
-    if not all_pairs:
-        return _eccentricity(adjacency, 0)
-    return max(_eccentricity(adjacency, s) for s in range(topology.node_count))
+    sources = range(topology.node_count) if all_pairs else [0]
+    return max(max(topology.distances(source)) for source in sources)
 
 
 def topological_cost(

@@ -1,14 +1,18 @@
-"""Analytical reliability model and a seeded fault-injection simulator.
+"""Analytical reliability model and the incident-link fault model.
 
 The analytical model treats a node of degree d with f failed incident
 links as (d - f) / d reliable; percentages are rounded half-away-from-
 zero to one decimal.  For f above the degree no value exists (rendered
 as an em dash in table output; exact zero renders as ``00``).
 
-The Monte-Carlo simulator estimates source-destination connectivity
-under f uniformly random failures among the links incident to a fixed
-source node, cross-checking the model's endpoints: certain connectivity
-at f = 0, certain isolation at f = degree.
+The fault model fails f of the links incident to node 0 and asks whether
+node 0 still reaches the antipodal destination.  Its answer is exact, with
+no sampling.  Every ring of 3 or more nodes and every hypercube of
+dimension 2 or more is 2-connected, and so is a Cartesian product of two
+or more connected graphs with 2 or more nodes each (factors of one node
+drop out).  So every network here is K1, K2 or 2-connected, and removing
+node 0 leaves the rest connected: node 0 reaches the destination while it
+keeps a link, and not once all its links have failed.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .topology import (
     NetworkSpec,
     NodeAddress,
     Topology,
-    build_graph,
+    _check_node_cap,
     encode_address,
 )
 
@@ -189,25 +193,6 @@ def inject_faults(
     )
 
 
-def _reaches(adjacency, start: int, goal: int, removed: set[frozenset[int]]) -> bool:
-    if start == goal:
-        return True
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        next_frontier = []
-        for node in frontier:
-            for nbr in adjacency[node]:
-                if nbr in seen or frozenset((node, nbr)) in removed:
-                    continue
-                if nbr == goal:
-                    return True
-                seen.add(nbr)
-                next_frontier.append(nbr)
-        frontier = next_frontier
-    return False
-
-
 def antipodal_node(spec: NetworkSpec) -> int:
     """The lowest-index node at maximum closed-form distance from node 0.
 
@@ -226,15 +211,17 @@ def monte_carlo_connectivity(
     seed: int,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> float:
-    """Estimate source-destination connectivity under incident-link faults.
+    """Source-destination connectivity under incident-link faults, exactly.
 
-    Each trial fails ``failures`` uniformly random links incident to node
-    0 and checks by BFS whether the fixed antipodal destination (the
-    lowest-index node at maximum distance from node 0) is still
-    reachable.  The estimate is the fraction of connected trials, and is
-    bitwise deterministic for a given (spec, failures, trials, seed):
-    per-trial seeds are derived by counter, so a parallel evaluation
-    would reduce to the same result in the same order.
+    The model fails ``failures`` of node 0's links and asks whether node 0
+    still reaches the fixed antipodal destination (the lowest-index node
+    at maximum distance from it).  No network here is cut by removing
+    node 0 (the module docstring gives the 2-connectivity argument), so
+    the value is 1.0 while node 0 keeps a link, and 0.0 once all of them
+    have failed unless node 0 is the destination itself.  ``trials`` is
+    still checked; neither it nor ``seed`` changes the value.  The degree
+    is node 0's in the simple graph, below ``spec.nominal_degree`` when a
+    ring has fewer than 3 nodes.
 
     Raises:
         CountOutOfRangeError: If ``trials`` is below 1 or ``failures``
@@ -246,20 +233,11 @@ def monte_carlo_connectivity(
         raise CountOutOfRangeError(f"trials must be >= 1, got {trials}")
     if failures < 0:
         raise CountOutOfRangeError(f"failure count must be >= 0, got {failures}")
-    topology = build_graph(spec, node_cap)
-    adjacency = topology.adjacency
-    source = 0
-    incident = [frozenset((source, nbr)) for nbr in adjacency[source]]
-    if failures > len(incident):
+    _check_node_cap(spec, node_cap)
+    # A ring of s nodes gives min(s - 1, 2) distinct neighbours.
+    degree = min(spec.rows - 1, 2) + min(spec.cols - 1, 2) + spec.cube_dim
+    if failures > degree:
         raise TooManyFaultsError(
-            f"asked for {failures} failed incident links, node 0 has "
-            f"{len(incident)}"
+            f"asked for {failures} failed incident links, node 0 has {degree}"
         )
-    destination = antipodal_node(spec)
-    connected = 0
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        removed = set(rng.sample(incident, failures))
-        if _reaches(adjacency, source, destination, removed):
-            connected += 1
-    return connected / trials
+    return 1.0 if failures < degree or antipodal_node(spec) == 0 else 0.0

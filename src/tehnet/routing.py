@@ -166,19 +166,7 @@ def bfs_distance(topology: Topology, a: NodeAddress, b: NodeAddress) -> int:
     spec = topology.spec
     start = encode_address(spec, a)
     goal = encode_address(spec, b)
-    if start == goal:
-        return 0
-    adjacency = topology.adjacency
-    dist = {start: 0}
-    frontier = [start]
-    while frontier:
-        next_frontier = []
-        for node in frontier:
-            for nbr in adjacency[node]:
-                if nbr not in dist:
-                    dist[nbr] = dist[node] + 1
-                    if nbr == goal:
-                        return dist[nbr]
-                    next_frontier.append(nbr)
-        frontier = next_frontier
-    raise UnreachableError(f"no path from {a} to {b}")
+    hops = topology.distances(start, goal)[goal]
+    if hops < 0:
+        raise UnreachableError(f"no path from {a} to {b}")
+    return hops

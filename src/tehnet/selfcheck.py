@@ -9,8 +9,8 @@ so a failing build can still enumerate everything that is wrong.
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, replace
+from itertools import combinations, product
 from pathlib import Path
 
 from .metrics import (
@@ -20,6 +20,7 @@ from .metrics import (
     link_count_simple,
 )
 from .reliability import (
+    antipodal_node,
     monte_carlo_connectivity,
     reliability_fraction,
     reliability_percent,
@@ -161,15 +162,26 @@ def _check_reliability() -> str:
 
 
 def _check_monte_carlo() -> str:
-    spec = teh_spec(4, 4, 8)
-    if monte_carlo_connectivity(spec, 0, 200, 42) != 1.0:
-        return "f=0 estimate is not 1.0"
-    if monte_carlo_connectivity(spec, 7, 200, 42) != 0.0:
-        return "f=degree estimate is not 0.0"
-    first = monte_carlo_connectivity(spec, 3, 200, 42)
-    second = monte_carlo_connectivity(spec, 3, 200, 42)
-    if first != second:
-        return f"seed 42 not deterministic: {first} vs {second}"
+    # The closed form must equal the connected share of every set of failed
+    # links at node 0.  (2, 2, 4) has 2-node rings, (3, 3, 4) does not.
+    for dims in ((2, 2, 4), (3, 3, 4)):
+        spec = teh_spec(*dims)
+        graph = build_graph(spec)
+        # Edges store src < dst, so node 0 is the src of each of its links.
+        incident = [edge for edge in graph.edges if edge[0] == 0]
+        goal = antipodal_node(spec)
+        for failures in range(len(incident) + 1):
+            cuts = list(combinations(incident, failures))
+            connected = 0
+            for cut in cuts:
+                kept = tuple(edge for edge in graph.edges if edge not in cut)
+                connected += replace(graph, edges=kept).distances(0, goal)[goal] >= 0
+            closed = monte_carlo_connectivity(spec, failures, 1, 0)
+            if connected / len(cuts) != closed:
+                return (
+                    f"{spec.label()} f={failures}: {connected} of {len(cuts)} "
+                    f"fault sets connected, closed form {closed}"
+                )
     return ""
 
 

@@ -253,6 +253,36 @@ class Topology:
             adj[dst].append(src)
         return tuple(map(tuple, adj))
 
+    def distances(self, source: int, goal: int = -1) -> list[int]:
+        """Hop counts from ``source`` by breadth-first search over
+        :attr:`adjacency`, -1 for nodes it does not reach.  Given a
+        ``goal``, the search stops after the level that reaches it, so
+        nodes farther away than ``goal`` may read -1."""
+        adjacency = self.adjacency
+        dist = [-1] * len(adjacency)
+        dist[source] = 0
+        frontier = [source]
+        hops = 0
+        while frontier and (goal < 0 or dist[goal] < 0):
+            hops += 1
+            next_frontier = []
+            for node in frontier:
+                for nbr in adjacency[node]:
+                    if dist[nbr] < 0:
+                        dist[nbr] = hops
+                        next_frontier.append(nbr)
+            frontier = next_frontier
+        return dist
+
+
+def _check_node_cap(spec: NetworkSpec, node_cap: int) -> None:
+    """Raise ResourceLimitError if ``spec`` has more than ``node_cap`` nodes."""
+    if spec.node_count > node_cap:
+        raise ResourceLimitError(
+            f"{spec.label()} has {spec.node_count} nodes, above the cap of "
+            f"{node_cap}; raise the cap to build it anyway"
+        )
+
 
 def build_graph(spec: NetworkSpec, node_cap: int = DEFAULT_NODE_CAP) -> Topology:
     """Construct the explicit edge set for ``spec``.
@@ -263,11 +293,7 @@ def build_graph(spec: NetworkSpec, node_cap: int = DEFAULT_NODE_CAP) -> Topology
     Raises:
         ResourceLimitError: If node_count exceeds ``node_cap``.
     """
-    if spec.node_count > node_cap:
-        raise ResourceLimitError(
-            f"{spec.label()} has {spec.node_count} nodes, above the cap of "
-            f"{node_cap}; raise the cap to build it anyway"
-        )
+    _check_node_cap(spec, node_cap)
     rows, cols, cube_nodes = spec.rows, spec.cols, spec.cube_nodes
     # Each node in index order adds its steps to higher-index neighbours,
     # ascending.  A cube step (+2**d, bit d clear) is below cube_nodes and

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from tehnet import selfcheck
 from tehnet.cli import run
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -54,6 +55,7 @@ CLI_GOLDEN += [
     (f"table{table_id}.json", ("table", "--id", str(table_id), "--format", "json"))
     for table_id in (1, 2, 3)
 ]
+CLI_GOLDEN.append(("self_check.txt", ("self-check",)))
 
 
 def invoke(*argv):
@@ -67,6 +69,8 @@ _VALID_ARGV = {
     "metrics": ("metrics", *_TEH_4_4_8),
     "route": ("route", *_TEH_4_4_8, "--from", "0,0,0", "--to", "1,1,1"),
     "table": ("table", "--id", "2"),
+    "table --id 1": ("table", "--id", "1"),
+    "table --id 3": ("table", "--id", "3"),
     "reliability": ("reliability",),
     "simulate": ("simulate", *_TEH_4_4_8, "--f", "1", "--trials", "5"),
     "scale": ("scale", *_TEH_4_4_8, "--mode", "torus", "--steps", "2"),
@@ -84,6 +88,8 @@ class TestExitCodes:
             ("metrics", "--max-nodes", "1"),
             ("table", "--max-nodes", "1"),
             ("reliability", "--max-nodes", "1"),
+            ("table --id 1", "--convention", "exact"),
+            ("table --id 3", "--convention", "square"),
         ],
     )
     def test_option_the_command_does_not_read(self, command, flag, value):
@@ -93,6 +99,16 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith("usage error:") and flag in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command",
+        ["", "metrics", "route", "table", "reliability", "simulate", "export",
+         "scale", "self-check"],
+    )
+    def test_help_is_written_to_out(self, command):
+        code, out, err = invoke(*command.split(), "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: tehnet {command}".rstrip() + " [-h]")
 
     def test_success(self):
         code, out, err = invoke("table", "--id", "1", "--format", "csv")
@@ -320,6 +336,13 @@ class TestSelfCheck:
         assert code != 0
         assert "FAIL  tables" in out
 
+    def test_monte_carlo_group_fails_on_a_wrong_closed_form(self, monkeypatch):
+        monkeypatch.setattr(selfcheck, "monte_carlo_connectivity", lambda *a: 1.0)
+        code, out, _ = invoke("self-check", "--max-nodes", "128")
+        assert code == 1
+        assert "FAIL  monte-carlo: (2, 2, 4) f=4: 0 of 1 fault sets" in out
+        assert out.count("PASS") == 6
+
 
 class TestEntryPoint:
     def test_module_invocation(self):
@@ -331,3 +354,13 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert result.stdout == (GOLDEN_DIR / "table1.csv").read_text()
+
+    def test_help_exits_zero(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "tehnet", "--help"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.startswith("usage: tehnet [-h]")

@@ -1,12 +1,19 @@
-"""Analytical reliability model, table rendering, and the fault simulator."""
+"""Analytical reliability model, table rendering, and the fault model."""
 
+import io
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+import tehnet.cli
+import tehnet.reliability
+import tehnet.topology
+from bruteforce import adjacency_by_enumeration, bfs_dist
 from strategies import SMALL_SPEC_IDS, SMALL_SPECS
 from tehnet import (
     CountOutOfRangeError,
+    Topology,
     TooManyFaultsError,
     build_graph,
     decode_address,
@@ -27,6 +34,27 @@ from tehnet.reliability import (
 )
 
 SCALED_SPECS = [teh_spec(4, 4, n) for n in (8, 16, 32, 64)]
+ORACLE_SPECS = [
+    pytest.param(spec, id=spec_id)
+    for spec, spec_id in zip(SMALL_SPECS, SMALL_SPEC_IDS)
+    if spec.node_count <= 64
+]
+
+
+def connected_fraction_by_enumeration(spec, adjacency, failures):
+    """Reference: the share of all sets of ``failures`` links at node 0
+    whose removal leaves node 0 connected to the antipodal node."""
+    origin = (0, 0, 0)
+    goal = tuple(decode_address(spec, antipodal_node(spec)))
+    cuts = list(combinations(sorted(adjacency[origin]), failures))
+    connected = 0
+    for cut in cuts:
+        faulted = dict(adjacency)
+        faulted[origin] = adjacency[origin] - set(cut)
+        for nbr in cut:
+            faulted[nbr] = adjacency[nbr] - {origin}
+        connected += bfs_dist(faulted, origin, goal) is not None
+    return Fraction(connected, len(cuts))
 
 
 def antipodal_by_scan(spec):
@@ -224,3 +252,41 @@ class TestMonteCarlo:
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
             monte_carlo_connectivity(teh_spec(4, 4, 8), 1, 0, 0)
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS)
+    def test_equals_every_fault_set(self, spec):
+        adjacency = adjacency_by_enumeration(spec.rows, spec.cols, spec.cube_nodes)
+        degree = len(adjacency[(0, 0, 0)])
+        for failures in range(degree + 1):
+            expected = connected_fraction_by_enumeration(spec, adjacency, failures)
+            assert monte_carlo_connectivity(spec, failures, 20, 1) == expected
+        with pytest.raises(TooManyFaultsError, match=f"node 0 has {degree}$"):
+            monte_carlo_connectivity(spec, degree + 1, 20, 1)
+
+    def test_small_rings_use_the_real_degree(self):
+        # Nominal degree 6, but each 2-node ring gives node 0 one link.
+        spec = teh_spec(2, 2, 4)
+        assert spec.nominal_degree == 6
+        assert monte_carlo_connectivity(spec, 3, 10, 0) == 1.0
+        assert monte_carlo_connectivity(spec, 4, 10, 0) == 0.0
+        with pytest.raises(TooManyFaultsError, match="node 0 has 4$"):
+            monte_carlo_connectivity(spec, 5, 10, 0)
+
+    def test_builds_and_searches_no_graph(self, monkeypatch):
+        calls = []
+
+        def spy(original):
+            def wrapper(*args, **kwargs):
+                calls.append(original.__name__)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for module in (tehnet.topology, tehnet.reliability, tehnet.cli):
+            monkeypatch.setattr(module, "build_graph", spy(build_graph), raising=False)
+        monkeypatch.setattr(Topology, "distances", spy(Topology.distances))
+        assert monte_carlo_connectivity(teh_spec(4, 4, 8), 7, 1000, 0) == 0.0
+        argv = ["simulate", "--family", "teh", "--l", "4", "--m", "4", "--cube", "8",
+                "--f", "3"]
+        assert tehnet.cli.run(argv, io.StringIO(), io.StringIO()) == 0
+        assert calls == []

@@ -16,6 +16,7 @@ from tehnet import (
     NonPositiveDimensionError,
     NotPowerOfTwoError,
     ResourceLimitError,
+    Topology,
     UnsupportedFormatError,
     build_graph,
     decode_address,
@@ -192,6 +193,18 @@ class TestBuildGraph:
     def test_node_cap(self):
         with pytest.raises(ResourceLimitError):
             build_graph(hypercube_spec(1024), node_cap=512)
+
+    def test_distances_mark_unreached_nodes(self):
+        # A path 0-1-2 plus two nodes with no edges.
+        topology = Topology(spec=torus_spec(1, 5), edges=((0, 1, "x"), (1, 2, "x")))
+        assert topology.distances(0) == [0, 1, 2, -1, -1]
+        assert topology.distances(3) == [-1, -1, -1, 0, -1]
+
+    def test_distances_stop_at_the_goal(self):
+        topology = build_graph(torus_spec(1, 9))
+        assert topology.distances(0) == [0, 1, 2, 3, 4, 4, 3, 2, 1]
+        assert topology.distances(0, goal=2) == [0, 1, 2, -1, -1, -1, -1, 2, 1]
+        assert topology.distances(0, goal=0) == [0, -1, -1, -1, -1, -1, -1, -1, -1]
 
     @given(small_specs(max_rows=4, max_cols=4, cube_sizes=(1, 2, 4, 8)), st.data())
     def test_vertex_transitivity(self, spec, data):
