@@ -11,11 +11,12 @@ import argparse
 from pathlib import Path
 
 from tehnet import DiameterConvention, FigureKind, figure_data
-from tehnet.reliability import render_reliability_csv, render_reliability_text
 from tehnet.tables import (
     render_comparison_csv,
     render_comparison_json,
     render_comparison_text,
+    render_reliability_csv,
+    render_reliability_text,
     table1_rows,
     table2_rows,
     table3_grid,

@@ -17,13 +17,7 @@ from typing import IO, Sequence
 
 from .errors import ClosedFormApproximationWarning, ResourceLimitError, TehnetError
 from .metrics import DiameterConvention, link_count_simple, metrics_report
-from .reliability import (
-    ReliabilityRow,
-    monte_carlo_connectivity,
-    reliability_table,
-    render_reliability_csv,
-    render_reliability_text,
-)
+from .reliability import ReliabilityRow, monte_carlo_connectivity, reliability_table
 from .routing import Path as RoutePath
 from .routing import route
 from .selfcheck import self_check
@@ -32,6 +26,8 @@ from .tables import (
     render_comparison_csv,
     render_comparison_json,
     render_comparison_text,
+    render_reliability_csv,
+    render_reliability_text,
     scaling_sequence,
     table1_rows,
     table2_rows,
@@ -120,28 +116,15 @@ def _spec_from_args(args: argparse.Namespace) -> NetworkSpec:
     return validate_spec(family, args.rows, args.cols, args.cube_nodes)
 
 
-def _parse_address(text: str, flag: str) -> NodeAddress:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise _UsageError(f"{flag} must be three comma-separated integers, got {text!r}")
+def _parse_triple(text: str, expected: str) -> tuple[int, ...]:
+    """Three comma-separated integers, or a usage error that says ``expected``."""
     try:
-        row, col, cube = (int(part) for part in parts)
+        values = tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise _UsageError(
-            f"{flag} must be three comma-separated integers, got {text!r}"
-        ) from None
-    return NodeAddress(row, col, cube)
-
-
-def _parse_spec_triple(text: str) -> NetworkSpec:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise _UsageError(f"--spec must be l,m,N, got {text!r}")
-    try:
-        rows, cols, cube_nodes = (int(part) for part in parts)
-    except ValueError:
-        raise _UsageError(f"--spec must be l,m,N, got {text!r}") from None
-    return validate_spec(Family.TEH, rows, cols, cube_nodes)
+        values = ()
+    if len(values) != 3:
+        raise _UsageError(f"{expected}, got {text!r}")
+    return values
 
 
 def _json(doc: object) -> str:
@@ -225,8 +208,9 @@ def _route_text(path: RoutePath) -> str:
 
 def _cmd_route(args: argparse.Namespace) -> str:
     spec = _spec_from_args(args)
-    src = _parse_address(args.src, "--from")
-    dst = _parse_address(args.dst, "--to")
+    expected = "must be three comma-separated integers"
+    src = NodeAddress(*_parse_triple(args.src, f"--from {expected}"))
+    dst = NodeAddress(*_parse_triple(args.dst, f"--to {expected}"))
     if spec.node_count > args.max_nodes:
         raise ResourceLimitError(
             f"{spec.label()} has {spec.node_count} nodes, above the cap of "
@@ -246,6 +230,13 @@ def _cmd_route(args: argparse.Namespace) -> str:
     return _route_text(path)
 
 
+_COMPARISON_RENDERERS = {
+    "csv": render_comparison_csv,
+    "json": render_comparison_json,
+    "text": render_comparison_text,
+}
+
+
 def _cmd_table(args: argparse.Namespace) -> str:
     if args.convention is not None and args.id != 2:
         raise _UsageError(f"table --id {args.id} does not take --convention")
@@ -255,20 +246,16 @@ def _cmd_table(args: argparse.Namespace) -> str:
     # Square is the default because the reference tables quote it.
     convention = _CONVENTIONS[args.convention or "square"]
     rows = table1_rows() if args.id == 1 else table2_rows(convention)
-    if args.format == "csv":
-        return render_comparison_csv(rows)
-    if args.format == "json":
-        return render_comparison_json(rows)
-    return render_comparison_text(rows)
+    return _COMPARISON_RENDERERS[args.format](rows)
 
 
 def _cmd_reliability(args: argparse.Namespace) -> str:
     if args.f_max < 1:
         raise _UsageError(f"--f-max must be >= 1, got {args.f_max}")
-    if args.specs:
-        specs = [_parse_spec_triple(text) for text in args.specs]
-    else:
-        specs = [_parse_spec_triple(text) for text in ("4,4,8", "4,4,16", "4,4,32", "4,4,64")]
+    specs = [
+        validate_spec(Family.TEH, *_parse_triple(text, "--spec must be l,m,N"))
+        for text in args.specs or ("4,4,8", "4,4,16", "4,4,32", "4,4,64")
+    ]
     rows = reliability_table(specs, args.f_max)
     return _render_reliability(specs, rows, args.format, {"f_max": args.f_max})
 
@@ -377,7 +364,7 @@ def _build_parser() -> _Parser:
     )
     _add_format(p_rel)
 
-    p_sim = sub.add_parser("simulate", help="Monte-Carlo fault connectivity")
+    p_sim = sub.add_parser("simulate", help="exact incident-link fault connectivity")
     _add_spec_arguments(p_sim)
     _add_format(p_sim)
     _add_max_nodes(p_sim)

@@ -2,8 +2,8 @@
 
 The analytical model treats a node of degree d with f failed incident
 links as (d - f) / d reliable; percentages are rounded half-away-from-
-zero to one decimal.  For f above the degree no value exists (rendered
-as an em dash in table output; exact zero renders as ``00``).
+zero to one decimal.  For f above the degree no value exists
+(:mod:`tehnet.tables` renders it as an em dash, and exact zero as ``00``).
 
 The fault model fails f of the links incident to node 0 and asks whether
 node 0 still reaches the antipodal destination.  Its answer is exact, with
@@ -90,51 +90,6 @@ def reliability_table(specs: list[NetworkSpec], f_max: int) -> list[ReliabilityR
         )
         for f in range(1, f_max + 1)
     ]
-
-
-def format_reliability_cell(value: float | None) -> str:
-    """Table-mode cell text: ``—`` for absent, ``00`` for exact zero,
-    whole numbers without a decimal point, otherwise one decimal."""
-    if value is None:
-        return "—"
-    if value == 0:
-        return "00"
-    if value == int(value):
-        return str(int(value))
-    return f"{value:.1f}"
-
-
-def _csv_cell(value: float | None) -> str:
-    if value is None:
-        return ""
-    if value == int(value):
-        return str(int(value))
-    return f"{value:.1f}"
-
-
-def render_reliability_csv(specs: list[NetworkSpec], rows: list[ReliabilityRow]) -> str:
-    """CSV with a ``failures`` column plus one quoted column per spec."""
-    header = ",".join(["failures"] + [f'"{spec.label()}"' for spec in specs])
-    lines = [header]
-    for row in rows:
-        lines.append(
-            ",".join([str(row.failures)] + [_csv_cell(cell) for cell in row.cells])
-        )
-    return "\n".join(lines) + "\n"
-
-
-def render_reliability_text(specs: list[NetworkSpec], rows: list[ReliabilityRow]) -> str:
-    """Aligned text table with the ``00`` and ``—`` typography."""
-    headers = ["failures"] + [spec.label() for spec in specs]
-    body = [
-        [str(row.failures)] + [format_reliability_cell(cell) for cell in row.cells]
-        for row in rows
-    ]
-    widths = [max(map(len, column)) for column in zip(headers, *body)]
-    out = ["  ".join(h.rjust(w) for h, w in zip(headers, widths))]
-    for line in body:
-        out.append("  ".join(cell.rjust(w) for cell, w in zip(line, widths)))
-    return "\n".join(out) + "\n"
 
 
 @dataclass(frozen=True)

@@ -22,13 +22,17 @@ from .metrics import (
 from .reliability import (
     antipodal_node,
     monte_carlo_connectivity,
-    reliability_fraction,
     reliability_percent,
-    render_reliability_csv,
     unreliability_percent,
 )
-from .routing import bfs_distance, distance_closed, route
-from .tables import render_comparison_csv, table1_rows, table2_rows, table3_grid
+from .routing import distance_closed, route
+from .tables import (
+    render_comparison_csv,
+    render_reliability_csv,
+    table1_rows,
+    table2_rows,
+    table3_grid,
+)
 from .topology import NodeAddress, build_graph, decode_address, encode_address, teh_spec
 
 GOLDEN_FILES = {
@@ -112,10 +116,10 @@ def _check_routing() -> str:
         spec = teh_spec(*dims)
         topology = build_graph(spec)
         nodes = [decode_address(spec, index) for index in range(spec.node_count)]
-        for src in nodes:
-            for dst in nodes:
+        for source, src in enumerate(nodes):
+            # One search per source gives the BFS distance to every dst.
+            for dst, searched in zip(nodes, topology.distances(source)):
                 closed = distance_closed(spec, src, dst)
-                searched = bfs_distance(topology, src, dst)
                 routed = route(spec, src, dst).length
                 if not closed == searched == routed:
                     return (
@@ -150,9 +154,10 @@ def _check_reliability() -> str:
     spec = teh_spec(4, 4, 8)
     degree = spec.nominal_degree
     for failures in range(degree + 1):
-        surviving = reliability_fraction(spec, failures)
-        if surviving + (1 - surviving) != 1:
-            return f"complement broken at f={failures}"
+        kept = reliability_percent(spec, failures)
+        lost = unreliability_percent(spec, failures)
+        if round(10 * kept) + round(10 * lost) != 1000:
+            return f"f={failures}: reliability {kept} + unreliability {lost} is not 100"
     percents = [reliability_percent(spec, f) for f in range(degree + 1)]
     if percents != sorted(percents, reverse=True) or percents[-1] != 0:
         return f"percentages not strictly decreasing to zero: {percents}"

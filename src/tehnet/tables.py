@@ -1,4 +1,4 @@
-"""Comparison datasets and scaling sequences.
+"""Comparison datasets, their renderers, and scaling sequences.
 
 Three reference datasets compare the families at processor counts 512
 through 16384: total links (table 1), topological cost (table 2), and
@@ -273,6 +273,23 @@ def figure_data(
     ]
 
 
+def _aligned(table: list[list[str]], left: int) -> list[str]:
+    """Cells two spaces apart, each column as wide as its widest cell; the
+    first ``left`` columns are left-justified, the rest right-justified."""
+    widths = [max(map(len, column)) for column in zip(*table)]
+    return [
+        "  ".join(
+            cell.ljust(width) if col < left else cell.rjust(width)
+            for col, (cell, width) in enumerate(zip(line, widths))
+        )
+        for line in table
+    ]
+
+
+def _number(value: float) -> str:
+    return str(int(value)) if value == int(value) else f"{value:.1f}"
+
+
 def render_comparison_csv(rows: list[ComparisonRow]) -> str:
     """Wide CSV: one row per network, one column per processor count."""
     header = ",".join(["network"] + [str(row.processors) for row in rows])
@@ -297,7 +314,6 @@ def render_comparison_json(rows: list[ComparisonRow]) -> str:
 def render_comparison_text(rows: list[ComparisonRow]) -> str:
     """Aligned text table; the growing-cube column annotates its N and
     flagged cells carry a ``*`` with a footnote."""
-    any_flagged = any(row.flagged for row in rows)
 
     def cell(row: ComparisonRow, key: str) -> str:
         text = str(row.value(key))
@@ -307,28 +323,41 @@ def render_comparison_text(rows: list[ComparisonRow]) -> str:
             text += "*"
         return text
 
-    headers = ["network"] + [str(row.processors) for row in rows]
-    body = [
+    table = [["network"] + [str(row.processors) for row in rows]]
+    table += [
         [_DISPLAY_LABELS[key]] + [cell(row, key) for row in rows]
         for key in NETWORK_KEYS
     ]
-    widths = [
-        max(len(headers[col]), *(len(line[col]) for line in body))
-        for col in range(len(headers))
+    lines = _aligned(table, left=1)
+    if any(row.flagged for row in rows):
+        lines.append("* differs from the square-convention value")
+    return "\n".join(lines) + "\n"
+
+
+def format_reliability_cell(value: float | None) -> str:
+    """Table-mode cell text: ``—`` for absent, ``00`` for exact zero,
+    whole numbers without a decimal point, otherwise one decimal."""
+    if value is None:
+        return "—"
+    return "00" if value == 0 else _number(value)
+
+
+def render_reliability_csv(specs: list[NetworkSpec], rows: list[ReliabilityRow]) -> str:
+    """CSV with a ``failures`` column plus one quoted column per spec; an
+    absent cell is empty."""
+    header = ",".join(["failures"] + [f'"{spec.label()}"' for spec in specs])
+    lines = [header]
+    for row in rows:
+        cells = ["" if cell is None else _number(cell) for cell in row.cells]
+        lines.append(",".join([str(row.failures)] + cells))
+    return "\n".join(lines) + "\n"
+
+
+def render_reliability_text(specs: list[NetworkSpec], rows: list[ReliabilityRow]) -> str:
+    """Aligned text table with the ``00`` and ``—`` typography."""
+    table = [["failures"] + [spec.label() for spec in specs]]
+    table += [
+        [str(row.failures)] + [format_reliability_cell(cell) for cell in row.cells]
+        for row in rows
     ]
-    out = [
-        "  ".join(
-            text.ljust(w) if col == 0 else text.rjust(w)
-            for col, (text, w) in enumerate(zip(headers, widths))
-        )
-    ]
-    for line in body:
-        out.append(
-            "  ".join(
-                text.ljust(w) if col == 0 else text.rjust(w)
-                for col, (text, w) in enumerate(zip(line, widths))
-            )
-        )
-    if any_flagged:
-        out.append("* differs from the square-convention value")
-    return "\n".join(out) + "\n"
+    return "\n".join(_aligned(table, left=0)) + "\n"

@@ -55,6 +55,11 @@ CLI_GOLDEN += [
     (f"table{table_id}.json", ("table", "--id", str(table_id), "--format", "json"))
     for table_id in (1, 2, 3)
 ]
+CLI_GOLDEN += [
+    (f"table2_exact.{_EXTENSIONS[fmt]}",
+     ("table", "--id", "2", "--convention", "exact", "--format", fmt))
+    for fmt in _EXTENSIONS
+]
 CLI_GOLDEN.append(("self_check.txt", ("self-check",)))
 
 
@@ -127,6 +132,12 @@ class TestExitCodes:
             "metrics", "--family", "hypercube", "--l", "4", "--cube", "8"
         )
         assert code == 1
+
+    @pytest.mark.parametrize("spec", ["4,4", "a,b,c"])
+    def test_usage_error_bad_spec(self, spec):
+        code, out, err = invoke("reliability", "--spec", spec)
+        assert (code, out) == (1, "")
+        assert err == f"usage error: --spec must be l,m,N, got {spec!r}\n"
 
     def test_usage_error_bad_address(self):
         code, _, err = invoke(
@@ -343,6 +354,22 @@ class TestSelfCheck:
         assert "FAIL  monte-carlo: (2, 2, 4) f=4: 0 of 1 fault sets" in out
         assert out.count("PASS") == 6
 
+    def test_routing_group_fails_on_a_wrong_closed_form(self, monkeypatch):
+        monkeypatch.setattr(selfcheck, "distance_closed", lambda *a: 0)
+        code, out, _ = invoke("self-check", "--max-nodes", "128")
+        assert code == 1
+        assert "FAIL  routing:" in out
+        assert out.count("PASS") == 6
+
+    def test_reliability_group_fails_on_a_wrong_complement(self, monkeypatch):
+        monkeypatch.setattr(
+            selfcheck, "unreliability_percent", selfcheck.reliability_percent
+        )
+        code, out, _ = invoke("self-check", "--max-nodes", "128")
+        assert code == 1
+        assert "FAIL  reliability-model" in out
+        assert out.count("PASS") == 6
+
 
 class TestEntryPoint:
     def test_module_invocation(self):
@@ -364,3 +391,4 @@ class TestEntryPoint:
         )
         assert (result.returncode, result.stderr) == (0, "")
         assert result.stdout.startswith("usage: tehnet [-h]")
+        assert "Monte-Carlo" not in result.stdout

@@ -26,8 +26,8 @@ from tehnet import (
     teh_spec,
     unreliability_percent,
 )
-from tehnet.reliability import (
-    antipodal_node,
+from tehnet.reliability import antipodal_node
+from tehnet.tables import (
     format_reliability_cell,
     render_reliability_csv,
     render_reliability_text,

@@ -37,6 +37,9 @@ def test_generate_tables_reproduces_shipped_tables(tmp_path):
     assert (tmp_path / "table3_reliability.txt").read_bytes() == (
         GOLDEN_DIR / "table3.txt"
     ).read_bytes()
+    assert (tmp_path / "table2_cost_exact.txt").read_bytes() == (
+        GOLDEN_DIR / "cli" / "table2_exact.txt"
+    ).read_bytes()
 
 
 def test_scaling_report_prints_both_modes():
