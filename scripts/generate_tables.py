@@ -16,6 +16,7 @@ from tehnet.tables import (
     render_comparison_json,
     render_comparison_text,
     render_reliability_csv,
+    render_reliability_json,
     render_reliability_text,
     table1_rows,
     table2_rows,
@@ -52,6 +53,7 @@ def main() -> None:
         "table2_cost_exact.csv": render_comparison_csv(exact),
         "table2_cost_exact.txt": render_comparison_text(exact),
         "table3_reliability.csv": render_reliability_csv(specs, rows3),
+        "table3_reliability.json": render_reliability_json(specs, rows3),
         "table3_reliability.txt": render_reliability_text(specs, rows3),
         "figure_links_vs_p.csv": figure_csv(FigureKind.LINKS_VS_P),
         "figure_cost_vs_p.csv": figure_csv(FigureKind.COST_VS_P),

@@ -9,6 +9,7 @@ self-check, 2 domain error, 3 resource limit.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -27,6 +28,7 @@ from .tables import (
     render_comparison_json,
     render_comparison_text,
     render_reliability_csv,
+    render_reliability_json,
     render_reliability_text,
     scaling_sequence,
     table1_rows,
@@ -159,16 +161,7 @@ def _render_reliability(
     if fmt == "csv":
         return render_reliability_csv(specs, rows)
     if fmt == "json":
-        return _json(
-            {
-                **head,
-                "specs": [spec.label() for spec in specs],
-                "rows": [
-                    {"failures": row.failures, "cells": list(row.cells)}
-                    for row in rows
-                ],
-            }
-        )
+        return render_reliability_json(specs, rows, head)
     return render_reliability_text(specs, rows)
 
 
@@ -332,7 +325,13 @@ def _cmd_self_check(args: argparse.Namespace) -> tuple[str, int]:
     return "\n".join(lines) + "\n", EXIT_OK if failed == 0 else EXIT_USAGE
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of this process, built on the first :func:`run`.
+
+    Reuse is safe: each ``parse_args`` fills a fresh namespace, and
+    ``--spec`` appends to a new list because its default is ``None``.
+    """
     parser = _Parser(prog="tehnet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -10,6 +10,7 @@ independent.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -46,6 +47,7 @@ COL_PLUS = Move("col_plus")
 COL_MINUS = Move("col_minus")
 
 
+@functools.cache
 def cube_move(dim: int) -> Move:
     return Move("cube", dim)
 
@@ -123,14 +125,11 @@ class Path:
         }
 
 
-def _ring_moves(src: int, dst: int, size: int, plus: Move, minus: Move) -> list[Move]:
-    # Shorter wrap direction; ties (delta == size/2) go to the plus move.
+def _ring_walk(src: int, dst: int, size: int) -> tuple[int, int]:
+    """Step (+1 or -1) and step count of the shorter wrap direction; ties
+    (delta == size/2) go forward."""
     forward = (dst - src) % size
-    if forward == 0:
-        return []
-    if forward <= size - forward:
-        return [plus] * forward
-    return [minus] * (size - forward)
+    return (1, forward) if forward <= size - forward else (-1, size - forward)
 
 
 def route(spec: NetworkSpec, src: NodeAddress, dst: NodeAddress) -> Path:
@@ -142,15 +141,25 @@ def route(spec: NetworkSpec, src: NodeAddress, dst: NodeAddress) -> Path:
     """
     check_address(spec, src)
     check_address(spec, dst)
-    pending = _ring_moves(src.col, dst.col, spec.cols, COL_PLUS, COL_MINUS)
-    pending += _ring_moves(src.row, dst.row, spec.rows, ROW_PLUS, ROW_MINUS)
-    pending += [
-        cube_move(d) for d in range(spec.cube_dim) if (src.cube ^ dst.cube) >> d & 1
-    ]
+    # Each hop is made from the running coordinates, already in range.
+    row, col, cube = src
     hops = [src]
-    for move in pending:
-        hops.append(apply_move(spec, hops[-1], move))
-    return Path(spec=spec, hops=tuple(hops), moves=tuple(pending))
+    step, count = _ring_walk(col, dst.col, spec.cols)
+    moves = [COL_PLUS if step == 1 else COL_MINUS] * count
+    for _ in range(count):
+        col = (col + step) % spec.cols
+        hops.append(NodeAddress(row, col, cube))
+    step, count = _ring_walk(row, dst.row, spec.rows)
+    moves += [ROW_PLUS if step == 1 else ROW_MINUS] * count
+    for _ in range(count):
+        row = (row + step) % spec.rows
+        hops.append(NodeAddress(row, col, cube))
+    for dim in range(spec.cube_dim):
+        if (cube ^ dst.cube) >> dim & 1:
+            cube ^= 1 << dim
+            moves.append(cube_move(dim))
+            hops.append(NodeAddress(row, col, cube))
+    return Path(spec=spec, hops=tuple(hops), moves=tuple(moves))
 
 
 def bfs_distance(topology: Topology, a: NodeAddress, b: NodeAddress) -> int:

@@ -311,6 +311,18 @@ def render_comparison_json(rows: list[ComparisonRow]) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def render_reliability_json(
+    specs: list[NetworkSpec], rows: list[ReliabilityRow], head: dict | None = None
+) -> str:
+    """The grid as ``{"specs", "rows"}`` after the keys of ``head``."""
+    doc = {
+        **(head or {}),
+        "specs": [spec.label() for spec in specs],
+        "rows": [{"failures": row.failures, "cells": list(row.cells)} for row in rows],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def render_comparison_text(rows: list[ComparisonRow]) -> str:
     """Aligned text table; the growing-cube column annotates its N and
     flagged cells carry a ``*`` with a footnote."""

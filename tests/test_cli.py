@@ -1,5 +1,6 @@
 """Exit codes, output determinism, and golden CLI output."""
 
+import hashlib
 import io
 import json
 import shutil
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from tehnet import selfcheck
-from tehnet.cli import run
+from tehnet.cli import _build_parser, run
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 CLI_GOLDEN_DIR = GOLDEN_DIR / "cli"
@@ -214,6 +215,15 @@ class TestGoldenOutput:
         assert (code, err) == (0, "")
         assert out == (CLI_GOLDEN_DIR / golden).read_text()
 
+    def test_byte_sweep(self, monkeypatch):
+        """sweep.json maps each argv, space-joined, to the sha256 of the json
+        list ``[exit code, stdout, stderr]`` it produced when captured."""
+        monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal
+        sweep = json.loads((CLI_GOLDEN_DIR / "sweep.json").read_text())
+        for argv, expected in sweep.items():
+            result = json.dumps(list(invoke(*argv.split()))).encode()
+            assert hashlib.sha256(result).hexdigest() == expected, argv
+
     def test_convention_alias(self):
         square = invoke("table", "--id", "2", "--format", "csv",
                         "--convention", "square")
@@ -369,6 +379,54 @@ class TestSelfCheck:
         assert code == 1
         assert "FAIL  reliability-model" in out
         assert out.count("PASS") == 6
+
+
+class TestParserReuse:
+    SEQUENCE = [
+        ("reliability", "--spec", "9,9,8", "--f-max", "x"),
+        ("metrics", "--help"),
+        ("reliability", "--spec", "3,3,2", "--spec", "4,4,8"),
+        ("reliability", "--format", "csv"),
+        _VALID_ARGV["route"],
+        _VALID_ARGV["route"],
+    ]
+
+    def test_each_call_answers_as_on_a_fresh_parser(self):
+        _build_parser.cache_clear()
+        in_sequence = [invoke(*argv) for argv in self.SEQUENCE]
+        assert _build_parser.cache_info().misses == 1
+        alone = []
+        for argv in self.SEQUENCE:
+            _build_parser.cache_clear()
+            alone.append(invoke(*argv))
+        assert in_sequence == alone
+        assert in_sequence[0][0] == 1 and in_sequence[1][0] == 0
+        default_grid = (CLI_GOLDEN_DIR / "reliability_default.csv").read_text()
+        assert in_sequence[3] == (0, default_grid, "")
+
+    def test_import_builds_no_parser(self):
+        script = (
+            "import argparse, io\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def spy(self, *args, **kwargs):\n"
+            "    built.append(self)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = spy\n"
+            "import tehnet.cli\n"
+            "counts = [len(built)]\n"
+            "for _ in range(2):\n"
+            "    tehnet.cli.run(['table', '--id', '1'], io.StringIO(), io.StringIO())\n"
+            "    counts.append(len(built))\n"
+            "print(*counts)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        at_import, first_run, second_run = map(int, result.stdout.split())
+        assert at_import == 0
+        assert first_run == second_run > 0
 
 
 class TestEntryPoint:

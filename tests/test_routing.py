@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bruteforce import adjacency_by_enumeration, bfs_dist
-from strategies import spec_with_addresses
+from strategies import SMALL_SPEC_IDS, SMALL_SPECS, spec_with_addresses
 from tehnet import (
     COL_MINUS,
     COL_PLUS,
@@ -12,6 +12,7 @@ from tehnet import (
     ROW_PLUS,
     InvalidDimensionError,
     NodeAddress,
+    Path,
     Topology,
     UnreachableError,
     apply_move,
@@ -115,6 +116,36 @@ class TestDistanceClosed:
         )
 
 
+def _ring_moves(src, dst, size, plus, minus):
+    # Shorter wrap direction; ties (delta == size/2) go to the plus move.
+    forward = (dst - src) % size
+    if forward == 0:
+        return []
+    if forward <= size - forward:
+        return [plus] * forward
+    return [minus] * (size - forward)
+
+
+def route_by_moves(spec, src, dst):
+    """The reference router: the move list first, then one apply_move per hop."""
+    pending = _ring_moves(src.col, dst.col, spec.cols, COL_PLUS, COL_MINUS)
+    pending += _ring_moves(src.row, dst.row, spec.rows, ROW_PLUS, ROW_MINUS)
+    pending += [
+        cube_move(d) for d in range(spec.cube_dim) if (src.cube ^ dst.cube) >> d & 1
+    ]
+    hops = [src]
+    for move in pending:
+        hops.append(apply_move(spec, hops[-1], move))
+    return Path(spec=spec, hops=tuple(hops), moves=tuple(pending))
+
+
+_REFERENCE_SPECS = [
+    pytest.param(spec, id=spec_id)
+    for spec, spec_id in zip(SMALL_SPECS, SMALL_SPEC_IDS)
+    if spec.node_count <= 64
+]
+
+
 class TestRoute:
     def test_trivial_path(self):
         path = route(teh_spec(2, 2, 8), NodeAddress(0, 0, 0), NodeAddress(0, 0, 0))
@@ -156,6 +187,16 @@ class TestRoute:
         assert len(set(path.hops)) == len(path.hops)
         assert path.length == distance_closed(spec, src, dst)
         assert path.length <= diameter_closed(spec)
+
+    @pytest.mark.parametrize("spec", _REFERENCE_SPECS)
+    def test_matches_the_reference_router_on_every_pair(self, spec):
+        nodes = [decode_address(spec, index) for index in range(spec.node_count)]
+        for src in nodes:
+            for dst in nodes:
+                assert route(spec, src, dst) == route_by_moves(spec, src, dst)
+
+    def test_cube_moves_are_shared(self):
+        assert cube_move(3) is cube_move(3)
 
     def test_json_serialization(self):
         path = route(teh_spec(2, 2, 8), NodeAddress(0, 0, 0), NodeAddress(1, 1, 5))

@@ -1,9 +1,12 @@
 """Smoke tests: the scripts in scripts/ run and reproduce the shipped tables."""
 
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from tehnet.cli import run
 
 ROOT = Path(__file__).parents[1]
 DATA_DIR = ROOT / "src" / "tehnet" / "data"
@@ -40,6 +43,9 @@ def test_generate_tables_reproduces_shipped_tables(tmp_path):
     assert (tmp_path / "table2_cost_exact.txt").read_bytes() == (
         GOLDEN_DIR / "cli" / "table2_exact.txt"
     ).read_bytes()
+    table3_json = io.StringIO()
+    assert run(["table", "--id", "3", "--format", "json"], table3_json) == 0
+    assert (tmp_path / "table3_reliability.json").read_text() == table3_json.getvalue()
 
 
 def test_scaling_report_prints_both_modes():
