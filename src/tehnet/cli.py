@@ -73,6 +73,10 @@ class _Parser(argparse.ArgumentParser):
         # --help calls this, then exits; run writes the text to out instead.
         raise _HelpRequested(self.format_help())
 
+    def _get_formatter(self) -> argparse.HelpFormatter:
+        # Help wraps as on an 80-column terminal, whatever the real one is.
+        return self.formatter_class(prog=self.prog, width=78)
+
 
 def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(

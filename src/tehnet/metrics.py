@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import ClosedFormApproximationWarning, ResourceLimitError
 from .topology import Family, NetworkSpec, Topology
@@ -31,8 +31,7 @@ class DiameterConvention(str, Enum):
     SQUARE_APPROX = "square"
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     """A consistent bundle of the closed-form metrics for one network."""
 
     spec: NetworkSpec

@@ -17,10 +17,9 @@ keeps a link, and not once all its links have failed.
 
 from __future__ import annotations
 
-import hashlib
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import CountOutOfRangeError, TooManyFaultsError
 from .topology import (
@@ -71,8 +70,7 @@ def unreliability_percent(spec: NetworkSpec, failures: int) -> float | None:
     return _round1_half_away(complement.numerator * 100, complement.denominator * 100)
 
 
-@dataclass(frozen=True)
-class ReliabilityRow:
+class ReliabilityRow(NamedTuple):
     """One table row: a failure count and one cell per network spec."""
 
     failures: int
@@ -92,8 +90,7 @@ def reliability_table(specs: list[NetworkSpec], f_max: int) -> list[ReliabilityR
     ]
 
 
-@dataclass(frozen=True)
-class FaultScenario:
+class FaultScenario(NamedTuple):
     """A deterministic set of failed links and nodes for one topology."""
 
     spec: NetworkSpec
@@ -105,6 +102,7 @@ class FaultScenario:
 def _trial_rng(seed: int, counter: int) -> random.Random:
     # Per-trial generators are derived by hashing (seed, counter) so the
     # trial order never affects individual draws.
+    import hashlib  # here, not at module level: no CLI command draws faults
     digest = hashlib.sha256(f"{seed}:{counter}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 

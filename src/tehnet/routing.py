@@ -11,7 +11,6 @@ independent.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InvalidDimensionError, UnreachableError
@@ -101,8 +100,7 @@ def distance_closed(spec: NetworkSpec, a: NodeAddress, b: NodeAddress) -> int:
     )
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(NamedTuple):
     """A hop-by-hop route: ``len(moves) == len(hops) - 1``."""
 
     spec: NetworkSpec

@@ -8,10 +8,11 @@ so a failing build can still enumerate everything that is wrong.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
-from dataclasses import dataclass, replace
 from itertools import combinations, product
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .metrics import (
     diameter_bfs,
@@ -33,7 +34,8 @@ from .tables import (
     table2_rows,
     table3_grid,
 )
-from .topology import NodeAddress, build_graph, decode_address, encode_address, teh_spec
+from .topology import NetworkSpec, NodeAddress, Topology, build_graph, teh_spec
+from .topology import decode_address, encode_address
 
 GOLDEN_FILES = {
     "table1": "table1_links.csv",
@@ -41,24 +43,21 @@ GOLDEN_FILES = {
     "table3": "table3_reliability.csv",
 }
 
-_ORACLE_GRID = [
-    (rows, cols, cube)
-    for rows, cols, cube in product((3, 4, 5), (3, 4, 5), (1, 2, 4, 8))
-]
+_ORACLE_GRID = list(product((3, 4, 5), (3, 4, 5), (1, 2, 4, 8)))
 _ROUTING_SPECS = ((3, 3, 4), (4, 4, 2), (2, 2, 8))
+_Build = Callable[[NetworkSpec], Topology]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     group: str
     passed: bool
     detail: str
 
 
-def _check_transitivity() -> str:
+def _check_transitivity(build: _Build) -> str:
     for dims in ((3, 4, 4), (2, 2, 8)):
         spec = teh_spec(*dims)
-        edges = set(build_graph(spec).edges)
+        edges = set(build(spec).edges)
         nodes = [decode_address(spec, index) for index in range(spec.node_count)]
         for da, db, dc in product(
             range(spec.rows), range(spec.cols), range(spec.cube_nodes)
@@ -83,12 +82,14 @@ def _check_transitivity() -> str:
     return ""
 
 
-def _check_links(max_nodes: int) -> str:
-    for dims in _ORACLE_GRID:
-        spec = teh_spec(*dims)
-        if spec.node_count > max_nodes:
-            continue
-        built = len(build_graph(spec).edges)
+def _oracle_specs(max_nodes: int) -> list[NetworkSpec]:
+    specs = [teh_spec(*dims) for dims in _ORACLE_GRID]
+    return [spec for spec in specs if spec.node_count <= max_nodes]
+
+
+def _check_links(build: _Build, max_nodes: int) -> str:
+    for spec in _oracle_specs(max_nodes):
+        built = len(build(spec).edges)
         closed = link_count_closed(spec)
         simple = link_count_simple(spec)
         if not built == closed == simple:
@@ -98,23 +99,20 @@ def _check_links(max_nodes: int) -> str:
     return ""
 
 
-def _check_diameter(max_nodes: int) -> str:
+def _check_diameter(build: _Build, max_nodes: int) -> str:
     # Eccentricity from node 0 suffices: the transitivity group runs first.
-    for dims in _ORACLE_GRID:
-        spec = teh_spec(*dims)
-        if spec.node_count > max_nodes:
-            continue
-        measured = diameter_bfs(build_graph(spec))
+    for spec in _oracle_specs(max_nodes):
+        measured = diameter_bfs(build(spec))
         expected = diameter_closed(spec)
         if measured != expected:
             return f"{spec.label()}: BFS {measured}, closed form {expected}"
     return ""
 
 
-def _check_routing() -> str:
+def _check_routing(build: _Build) -> str:
     for dims in _ROUTING_SPECS:
         spec = teh_spec(*dims)
-        topology = build_graph(spec)
+        topology = build(spec)
         nodes = [decode_address(spec, index) for index in range(spec.node_count)]
         for source, src in enumerate(nodes):
             # One search per source gives the BFS distance to every dst.
@@ -166,12 +164,12 @@ def _check_reliability() -> str:
     return ""
 
 
-def _check_monte_carlo() -> str:
+def _check_monte_carlo(build: _Build) -> str:
     # The closed form must equal the connected share of every set of failed
     # links at node 0.  (2, 2, 4) has 2-node rings, (3, 3, 4) does not.
     for dims in ((2, 2, 4), (3, 3, 4)):
         spec = teh_spec(*dims)
-        graph = build_graph(spec)
+        graph = build(spec)
         # Edges store src < dst, so node 0 is the src of each of its links.
         incident = [edge for edge in graph.edges if edge[0] == 0]
         goal = antipodal_node(spec)
@@ -180,7 +178,7 @@ def _check_monte_carlo() -> str:
             connected = 0
             for cut in cuts:
                 kept = tuple(edge for edge in graph.edges if edge not in cut)
-                connected += replace(graph, edges=kept).distances(0, goal)[goal] >= 0
+                connected += graph._replace(edges=kept).distances(0, goal)[goal] >= 0
             closed = monte_carlo_connectivity(spec, failures, 1, 0)
             if connected / len(cuts) != closed:
                 return (
@@ -199,14 +197,16 @@ def self_check(max_nodes: int = 512, data_dir: Path | None = None) -> list[Check
         data_dir: Override directory for the golden table files
             (defaults to the files shipped inside the package).
     """
+    # Groups share specs, so each graph is built once and dropped on return.
+    build = functools.cache(build_graph)
     groups = [
-        ("vertex-transitivity", lambda: _check_transitivity()),
-        ("links-closed-form", lambda: _check_links(max_nodes)),
-        ("diameter-closed-form", lambda: _check_diameter(max_nodes)),
-        ("routing", lambda: _check_routing()),
+        ("vertex-transitivity", lambda: _check_transitivity(build)),
+        ("links-closed-form", lambda: _check_links(build, max_nodes)),
+        ("diameter-closed-form", lambda: _check_diameter(build, max_nodes)),
+        ("routing", lambda: _check_routing(build)),
         ("tables", lambda: _check_tables(data_dir)),
         ("reliability-model", lambda: _check_reliability()),
-        ("monte-carlo", lambda: _check_monte_carlo()),
+        ("monte-carlo", lambda: _check_monte_carlo(build)),
     ]
     results = []
     for name, runner in groups:

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import ResourceLimitError, SpecError
 from .metrics import DiameterConvention, square_torus_diameter
@@ -55,8 +55,7 @@ TABLE3_SPECS = (
 TABLE3_F_MAX = 9
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     """One processor-count column of the comparison tables.
 
     ``values`` maps each of :data:`NETWORK_KEYS` to its cell.  ``flagged``
@@ -66,9 +65,12 @@ class ComparisonRow:
     """
 
     processors: int
-    values: dict[str, int] = field(hash=False)
+    values: dict[str, int]
     teh_16_16_cube_nodes: int
-    flagged: frozenset[str] = field(default_factory=frozenset)
+    flagged: frozenset[str] = frozenset()
+
+    def __hash__(self) -> int:
+        return hash((self.processors, self.teh_16_16_cube_nodes, self.flagged))
 
     def value(self, network: str) -> int:
         return self.values[network]
@@ -159,8 +161,7 @@ def table2_rows(
     return rows
 
 
-@dataclass(frozen=True)
-class ReliabilityGrid:
+class ReliabilityGrid(NamedTuple):
     specs: tuple[NetworkSpec, ...]
     rows: tuple[ReliabilityRow, ...]
 
@@ -178,8 +179,7 @@ class ScalingMode(str, Enum):
     EXPAND_HYPERCUBE = "hypercube"
 
 
-@dataclass(frozen=True)
-class ScalingStep:
+class ScalingStep(NamedTuple):
     mode: ScalingMode
     spec: NetworkSpec
     degree: int
@@ -246,8 +246,7 @@ class FigureKind(str, Enum):
     COST_VS_P = "cost"
 
 
-@dataclass(frozen=True)
-class FigurePoint:
+class FigurePoint(NamedTuple):
     network: str
     processors: int
     value: int

@@ -15,7 +15,6 @@ hypercube group of ``cube_nodes`` nodes contiguous.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
@@ -65,8 +64,7 @@ class NodeAddress(NamedTuple):
         return f"{self.row},{self.col},{self.cube}"
 
 
-@dataclass(frozen=True)
-class NetworkSpec:
+class NetworkSpec(NamedTuple):
     """A validated network description.
 
     Attributes:
@@ -226,17 +224,21 @@ def neighbors(spec: NetworkSpec, addr: NodeAddress) -> list[tuple[NodeAddress, s
     return out
 
 
-@dataclass(frozen=True)
-class Topology:
+class _TopologyFields(NamedTuple):
+    spec: NetworkSpec
+    edges: tuple[tuple[int, int, str], ...]
+
+
+class Topology(_TopologyFields):
     """An explicit simple graph over the dense node index space.
 
     Edges are stored once, as (src, dst, kind) with src < dst, sorted
     lexicographically.  Instances are immutable and safe to share across
-    threads.
+    threads.  :attr:`adjacency` is cached in the instance dict.
     """
 
-    spec: NetworkSpec
-    edges: tuple[tuple[int, int, str], ...]
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def node_count(self) -> int:

@@ -224,6 +224,21 @@ class TestGoldenOutput:
             result = json.dumps(list(invoke(*argv.split()))).encode()
             assert hashlib.sha256(result).hexdigest() == expected, argv
 
+    @pytest.mark.parametrize("columns", ["40", "80", "200", None])
+    def test_help_ignores_the_terminal_width(self, monkeypatch, columns):
+        """Each parser's help is the bytes sweep.json pinned at 80 columns."""
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        sweep = json.loads((CLI_GOLDEN_DIR / "sweep.json").read_text())
+        helps = [argv for argv in sweep if argv.endswith("--help")]
+        # The top-level parser, eight commands, and the self_check alias.
+        assert len(helps) == 10
+        for argv in helps:
+            result = json.dumps(list(invoke(*argv.split()))).encode()
+            assert hashlib.sha256(result).hexdigest() == sweep[argv], argv
+
     def test_convention_alias(self):
         square = invoke("table", "--id", "2", "--format", "csv",
                         "--convention", "square")
@@ -369,6 +384,25 @@ class TestSelfCheck:
         code, out, _ = invoke("self-check", "--max-nodes", "128")
         assert code == 1
         assert "FAIL  routing:" in out
+        assert out.count("PASS") == 6
+
+    def test_links_group_fails_on_a_wrong_closed_form(self, monkeypatch):
+        # The graphs are built once per self-check and shared between groups;
+        # each group must still fail on its own closed form.
+        simple = selfcheck.link_count_simple
+        monkeypatch.setattr(selfcheck, "link_count_simple", lambda s: simple(s) + 1)
+        code, out, _ = invoke("self-check", "--max-nodes", "128")
+        assert code == 1
+        expected = "FAIL  links-closed-form: (3, 3, 1): built 18, closed 18, simple 19"
+        assert expected in out
+        assert out.count("PASS") == 6
+
+    def test_diameter_group_fails_on_a_wrong_closed_form(self, monkeypatch):
+        closed = selfcheck.diameter_closed
+        monkeypatch.setattr(selfcheck, "diameter_closed", lambda s: closed(s) + 1)
+        code, out, _ = invoke("self-check", "--max-nodes", "128")
+        assert code == 1
+        assert "FAIL  diameter-closed-form: (3, 3, 1): BFS 2, closed form 3" in out
         assert out.count("PASS") == 6
 
     def test_reliability_group_fails_on_a_wrong_complement(self, monkeypatch):

@@ -1,0 +1,200 @@
+"""The record classes: repr, equality, hash, immutability, and what
+importing the package loads."""
+
+import json
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import tehnet
+from tehnet import (
+    CheckResult,
+    ComparisonRow,
+    FaultScenario,
+    Family,
+    NodeAddress,
+    ReliabilityGrid,
+    Topology,
+    build_graph,
+    figure_data,
+    hypercube_spec,
+    metrics_report,
+    reliability_table,
+    route,
+    scaling_sequence,
+    table1_rows,
+    teh_spec,
+)
+
+_SPEC_4_4_8 = (
+    "NetworkSpec(family=<Family.TEH: 'teh'>, rows=4, cols=4, cube_nodes=8, cube_dim=3)"
+)
+
+#: name -> (a function making the record, its repr).  Each repr was captured
+#: from the frozen-dataclass versions of the classes, so it pins their text.
+RECORDS = {
+    "NetworkSpec": (lambda: teh_spec(4, 4, 8), _SPEC_4_4_8),
+    "Topology": (
+        lambda: build_graph(hypercube_spec(2)),
+        "Topology(spec=NetworkSpec(family=<Family.HYPERCUBE: 'hypercube'>, rows=1, "
+        "cols=1, cube_nodes=2, cube_dim=1), edges=((0, 1, 'hypercube_dim_0'),))",
+    ),
+    "MetricsReport": (
+        lambda: metrics_report(teh_spec(4, 4, 8)),
+        f"MetricsReport(spec={_SPEC_4_4_8}, node_count=128, degree=7, links=448, "
+        "diameter=7, cost=3136, convention=<DiameterConvention.EXACT: 'exact'>)",
+    ),
+    "Path": (
+        lambda: route(teh_spec(4, 4, 8), NodeAddress(0, 0, 0), NodeAddress(1, 1, 1)),
+        f"Path(spec={_SPEC_4_4_8}, hops=(NodeAddress(row=0, col=0, cube=0), "
+        "NodeAddress(row=0, col=1, cube=0), NodeAddress(row=1, col=1, cube=0), "
+        "NodeAddress(row=1, col=1, cube=1)), moves=(Move(kind='col_plus', dim=-1), "
+        "Move(kind='row_plus', dim=-1), Move(kind='cube', dim=0)))",
+    ),
+    "ReliabilityRow": (
+        lambda: reliability_table([teh_spec(4, 4, 8), teh_spec(4, 4, 16)], 8)[7],
+        "ReliabilityRow(failures=8, cells=(None, 0.0))",
+    ),
+    "FaultScenario": (
+        lambda: FaultScenario(
+            teh_spec(2, 2, 2), frozenset({(0, 1)}), frozenset({3}), 5
+        ),
+        "FaultScenario(spec=NetworkSpec(family=<Family.TEH: 'teh'>, rows=2, cols=2, "
+        "cube_nodes=2, cube_dim=1), failed_links=frozenset({(0, 1)}), "
+        "failed_nodes=frozenset({3}), seed=5)",
+    ),
+    "CheckResult": (
+        lambda: CheckResult(group="tables", passed=False, detail="x"),
+        "CheckResult(group='tables', passed=False, detail='x')",
+    ),
+    "ComparisonRow": (
+        lambda: table1_rows()[0],
+        "ComparisonRow(processors=512, values={'hypercube': 2304, 'torus': 1024, "
+        "'teh_16_16_N': 1280, 'teh_lm_16': 2048}, teh_16_16_cube_nodes=2, "
+        "flagged=frozenset())",
+    ),
+    "ComparisonRow flagged": (
+        lambda: ComparisonRow(512, {"torus": 1}, 2, frozenset({"torus"})),
+        "ComparisonRow(processors=512, values={'torus': 1}, teh_16_16_cube_nodes=2, "
+        "flagged=frozenset({'torus'}))",
+    ),
+    "ReliabilityGrid": (
+        lambda: ReliabilityGrid(
+            specs=(teh_spec(4, 4, 8),),
+            rows=tuple(reliability_table([teh_spec(4, 4, 8)], 1)),
+        ),
+        f"ReliabilityGrid(specs=({_SPEC_4_4_8},), "
+        "rows=(ReliabilityRow(failures=1, cells=(85.7,)),))",
+    ),
+    "ScalingStep": (
+        lambda: scaling_sequence("torus", teh_spec(4, 4, 8), 1)[0],
+        "ScalingStep(mode=<ScalingMode.EXPAND_TORUS: 'torus'>, "
+        "spec=NetworkSpec(family=<Family.TEH: 'teh'>, rows=4, cols=8, cube_nodes=8, "
+        "cube_dim=3), degree=7, existing_nodes_reconfigured=False)",
+    ),
+    "FigurePoint": (
+        lambda: figure_data("links")[0],
+        "FigurePoint(network='hypercube', processors=512, value=2304)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+class TestRecordContract:
+    def test_repr(self, name):
+        make, expected = RECORDS[name]
+        assert repr(make()) == expected
+
+    def test_equal_records_hash_equal(self, name):
+        make, _ = RECORDS[name]
+        first, second = make(), make()
+        assert first is not second
+        assert first == second
+        assert hash(first) == hash(second)
+
+    def test_fields_cannot_be_assigned(self, name):
+        make, _ = RECORDS[name]
+        record = make()
+        field = type(record)._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+
+def test_topology_cached_adjacency_cannot_be_assigned():
+    topology = build_graph(teh_spec(2, 2, 2))
+    adjacency = topology.adjacency
+    with pytest.raises(AttributeError):
+        topology.adjacency = ()
+    assert topology.adjacency is adjacency
+
+
+def test_comparison_row_hash_leaves_out_values():
+    row = ComparisonRow(512, {"torus": 1}, 2)
+    other = ComparisonRow(512, {"torus": 2}, 2)
+    assert row != other
+    assert hash(row) == hash(other)
+    assert row.flagged == frozenset()
+
+
+def test_records_are_tuples():
+    spec = teh_spec(4, 4, 8)
+    family, rows, cols, cube_nodes, cube_dim = spec
+    assert (family, rows, cols, cube_nodes, cube_dim) == (Family.TEH, 4, 4, 8, 3)
+    assert spec[1] == spec.rows
+    assert spec == (Family.TEH, 4, 4, 8, 3)
+
+
+def test_replaced_topology_gets_its_own_adjacency():
+    graph = build_graph(teh_spec(2, 2, 4))
+    original = graph.adjacency
+    kept = graph.edges[1:]
+    copy = graph._replace(edges=kept)
+    assert isinstance(copy, Topology)
+    expected = [[] for _ in range(graph.node_count)]
+    for src, dst, _ in kept:
+        expected[src].append(dst)
+        expected[dst].append(src)
+    assert copy.adjacency == tuple(tuple(sorted(nbrs)) for nbrs in expected)
+    assert copy.adjacency != original
+    assert graph.adjacency is original
+    assert graph.adjacency == build_graph(teh_spec(2, 2, 4)).adjacency
+
+
+_SRC = Path(__file__).parents[1] / "src"
+_IMPORT_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+__import__(sys.argv[2])
+print(json.dumps(sorted(sys.modules)))
+"""
+#: Heavy standard modules no import of the package may load.
+_NOT_LOADED = {"dataclasses", "inspect", "hashlib"}
+_LIBRARY = {
+    f"tehnet.{module.name}"
+    for module in pkgutil.iter_modules(tehnet.__path__)
+    if module.name not in ("cli", "__main__")
+}
+
+
+@pytest.mark.parametrize(
+    "module,expected",
+    [("tehnet", _LIBRARY), ("tehnet.cli", _LIBRARY | {"tehnet.cli"})],
+)
+def test_import_loads_every_module_and_no_heavy_one(module, expected):
+    # The package's own modules load eagerly, so no command pays for an
+    # import on its first call; no timing is asserted here.
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", _IMPORT_PROBE, str(_SRC), module],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = set(json.loads(result.stdout))
+    assert not loaded & _NOT_LOADED
+    assert {name for name in loaded if name.startswith("tehnet.")} == expected

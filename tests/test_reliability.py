@@ -182,6 +182,20 @@ class TestInjectFaults:
         assert len(first.failed_links) == 3
         assert len(first.failed_nodes) == 2
 
+    @pytest.mark.parametrize(
+        "seed,links,nodes",
+        [
+            (0, [(39, 71), (53, 85), (70, 71)], [18, 25]),
+            (7, [(57, 59), (69, 71), (90, 94)], [57, 69]),
+            (42, [(66, 74), (104, 106), (105, 107)], [5, 95]),
+        ],
+    )
+    def test_draws_are_pinned(self, seed, links, nodes):
+        # README promises bitwise-identical runs: these draws must not change.
+        scenario = inject_faults(build_graph(teh_spec(4, 4, 8)), 3, 2, seed)
+        assert sorted(scenario.failed_links) == links
+        assert sorted(scenario.failed_nodes) == nodes
+
     def test_different_seeds_usually_differ(self):
         topology = build_graph(teh_spec(4, 4, 8))
         draws = {inject_faults(topology, 3, 0, seed).failed_links for seed in range(8)}
