@@ -18,10 +18,9 @@ keeps a link, and not once all its links have failed.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import CountOutOfRangeError, TooManyFaultsError
+from .errors import CountOutOfRangeError, SpecError, TooManyFaultsError
 from .topology import (
     DEFAULT_NODE_CAP,
     NetworkSpec,
@@ -31,6 +30,9 @@ from .topology import (
     encode_address,
 )
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 
 def _round1_half_away(numerator: int, denominator: int) -> float:
     # Round numerator/denominator * 100 to one decimal, halves away from
@@ -39,13 +41,31 @@ def _round1_half_away(numerator: int, denominator: int) -> float:
     return tenths / 10
 
 
-def reliability_fraction(spec: NetworkSpec, failures: int) -> Fraction | None:
-    """Exact surviving-link fraction (d - f) / d, or None for f > d."""
+def _surviving_degree(spec: NetworkSpec, failures: int) -> int | None:
+    # The degree d of (d - f) / d, or None for f > d.
     if failures < 0:
-        raise ValueError(f"failure count must be >= 0, got {failures}")
+        raise CountOutOfRangeError(f"failure count must be >= 0, got {failures}")
     degree = spec.nominal_degree
-    if failures > degree:
+    if degree == 0:
+        raise SpecError(
+            f"{spec.family.value} {spec.label()} has nominal degree 0, "
+            "so (d - f) / d is undefined"
+        )
+    return degree if failures <= degree else None
+
+
+def reliability_fraction(spec: NetworkSpec, failures: int) -> Fraction | None:
+    """Exact surviving-link fraction (d - f) / d, or None for f > d.
+
+    Raises:
+        CountOutOfRangeError: If ``failures`` is below 0.
+        SpecError: If the spec's nominal degree is 0.
+    """
+    degree = _surviving_degree(spec, failures)
+    if degree is None:
         return None
+    from fractions import Fraction  # here, not at module level: it loads decimal
+
     return Fraction(degree - failures, degree)
 
 
@@ -53,21 +73,21 @@ def reliability_percent(spec: NetworkSpec, failures: int) -> float | None:
     """Reliability percentage, one decimal, or None for f above the degree.
 
     Examples: degree 7 with one failure gives 85.7; with seven failures
-    gives 0.0; with eight there is no value.
+    gives 0.0; with eight there is no value.  Raises as
+    :func:`reliability_fraction` does.
     """
-    fraction = reliability_fraction(spec, failures)
-    if fraction is None:
+    degree = _surviving_degree(spec, failures)
+    if degree is None:
         return None
-    return _round1_half_away(fraction.numerator * 100, fraction.denominator * 100)
+    return _round1_half_away(degree - failures, degree)
 
 
 def unreliability_percent(spec: NetworkSpec, failures: int) -> float | None:
-    """100 minus the exact reliability, then rounded to one decimal."""
-    fraction = reliability_fraction(spec, failures)
-    if fraction is None:
+    """100 minus the exact reliability, f / d, then rounded to one decimal."""
+    degree = _surviving_degree(spec, failures)
+    if degree is None:
         return None
-    complement = 1 - fraction
-    return _round1_half_away(complement.numerator * 100, complement.denominator * 100)
+    return _round1_half_away(failures, degree)
 
 
 class ReliabilityRow(NamedTuple):

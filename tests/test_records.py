@@ -173,7 +173,7 @@ __import__(sys.argv[2])
 print(json.dumps(sorted(sys.modules)))
 """
 #: Heavy standard modules no import of the package may load.
-_NOT_LOADED = {"dataclasses", "inspect", "hashlib"}
+_NOT_LOADED = {"dataclasses", "inspect", "hashlib", "fractions", "decimal", "numbers"}
 _LIBRARY = {
     f"tehnet.{module.name}"
     for module in pkgutil.iter_modules(tehnet.__path__)
@@ -198,3 +198,47 @@ def test_import_loads_every_module_and_no_heavy_one(module, expected):
     loaded = set(json.loads(result.stdout))
     assert not loaded & _NOT_LOADED
     assert {name for name in loaded if name.startswith("tehnet.")} == expected
+
+
+_COMMAND_PROBE = """
+import io, json, sys
+sys.path.insert(0, sys.argv[1])
+import tehnet.cli
+codes = [
+    tehnet.cli.run(argv.split(), out=io.StringIO(), err=io.StringIO())
+    for argv in json.loads(sys.argv[2])
+]
+after_commands = "fractions" in sys.modules
+tehnet.reliability_fraction(tehnet.teh_spec(4, 4, 8), 1)
+print(json.dumps([codes, after_commands, "fractions" in sys.modules]))
+"""
+#: One command of each kind, the reliability grid in every format.
+_COMMANDS = [
+    "metrics --family teh --l 4 --m 4 --cube 8 --format json",
+    "route --family teh --l 4 --m 4 --cube 8 --from 0,0,0 --to 2,2,7 --format text",
+    "table --id 1 --format text",
+    "table --id 2 --format csv",
+    "table --id 3 --format text",
+    "reliability --spec 4,4,8 --spec 4,4,16 --f-max 9 --format csv",
+    "reliability --format json",
+    "simulate --family teh --l 4 --m 4 --cube 8 --f 3 --trials 10",
+    "scale --family teh --l 4 --m 4 --cube 16 --mode torus --steps 2",
+    "export --family teh --l 2 --m 2 --cube 8 --format dot",
+    "self-check",
+]
+
+
+def test_commands_do_not_load_fractions_until_reliability_fraction():
+    # Only reliability_fraction builds a Fraction, so no command pays for
+    # importing fractions and decimal; no timing is asserted here.
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", _COMMAND_PROBE, str(_SRC), json.dumps(_COMMANDS)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    codes, after_commands, after_fraction = json.loads(result.stdout)
+    assert codes == [0] * len(_COMMANDS)
+    assert not after_commands
+    assert after_fraction

@@ -1,6 +1,7 @@
 """Analytical reliability model, table rendering, and the fault model."""
 
 import io
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,11 +14,13 @@ from bruteforce import adjacency_by_enumeration, bfs_dist
 from strategies import SMALL_SPEC_IDS, SMALL_SPECS
 from tehnet import (
     CountOutOfRangeError,
+    SpecError,
     Topology,
     TooManyFaultsError,
     build_graph,
     decode_address,
     distance_closed,
+    hypercube_spec,
     inject_faults,
     monte_carlo_connectivity,
     reliability_fraction,
@@ -28,6 +31,7 @@ from tehnet import (
 )
 from tehnet.reliability import antipodal_node
 from tehnet.tables import (
+    TABLE3_SPECS,
     format_reliability_cell,
     render_reliability_csv,
     render_reliability_text,
@@ -55,6 +59,37 @@ def connected_fraction_by_enumeration(spec, adjacency, failures):
             faulted[nbr] = adjacency[nbr] - {origin}
         connected += bfs_dist(faulted, origin, goal) is not None
     return Fraction(connected, len(cuts))
+
+
+def percent_by_fraction(fraction):
+    """Reference: the exact fraction as a percentage, rounded half away
+    from zero to one decimal in ``Fraction`` arithmetic, apart from the
+    library's integer rounding."""
+    return math.floor(fraction * 1000 + Fraction(1, 2)) / 10
+
+
+def reliability_by_fraction(spec, failures):
+    """Reference: the percentages built from ``Fraction(d - f, d)``."""
+    degree = spec.nominal_degree
+    if failures > degree:
+        return None, None
+    surviving = Fraction(degree - failures, degree)
+    return percent_by_fraction(surviving), percent_by_fraction(1 - surviving)
+
+
+PERCENT_ORACLE_SPECS = [
+    pytest.param(
+        spec, id=f"{spec.family.value}-{spec.rows}-{spec.cols}-{spec.cube_nodes}"
+    )
+    for spec in dict.fromkeys(
+        [
+            *(spec for spec in SMALL_SPECS if spec.nominal_degree),
+            *TABLE3_SPECS,
+            *(hypercube_spec(2**n) for n in range(1, 11)),
+        ]
+    )
+]
+ALL_MODEL_FUNCTIONS = (reliability_fraction, reliability_percent, unreliability_percent)
 
 
 def antipodal_by_scan(spec):
@@ -95,6 +130,45 @@ class TestAnalyticalModel:
     def test_negative_failures_rejected(self):
         with pytest.raises(ValueError):
             reliability_percent(teh_spec(4, 4, 8), -1)
+
+    @pytest.mark.parametrize("model", ALL_MODEL_FUNCTIONS)
+    def test_negative_failures_are_a_count_error(self, model):
+        with pytest.raises(CountOutOfRangeError) as raised:
+            model(teh_spec(4, 4, 8), -1)
+        assert str(raised.value) == "failure count must be >= 0, got -1"
+
+    @pytest.mark.parametrize("model", ALL_MODEL_FUNCTIONS)
+    @pytest.mark.parametrize("failures", [0, 1])
+    def test_degree_zero_is_a_spec_error(self, model, failures):
+        with pytest.raises(SpecError) as raised:
+            model(hypercube_spec(1), failures)
+        assert str(raised.value) == (
+            "hypercube (1, 1, 1) has nominal degree 0, so (d - f) / d is undefined"
+        )
+
+    @pytest.mark.parametrize("model", ALL_MODEL_FUNCTIONS)
+    def test_negative_failures_are_checked_before_the_degree(self, model):
+        with pytest.raises(CountOutOfRangeError):
+            model(hypercube_spec(1), -1)
+
+    @pytest.mark.parametrize("spec", PERCENT_ORACLE_SPECS)
+    def test_percentages_match_the_fraction_reference(self, spec):
+        for failures in range(spec.nominal_degree + 2):
+            expected = reliability_by_fraction(spec, failures)
+            actual = (
+                reliability_percent(spec, failures),
+                unreliability_percent(spec, failures),
+            )
+            assert actual == expected, (spec, failures)
+
+    @pytest.mark.parametrize("spec", PERCENT_ORACLE_SPECS)
+    def test_fraction_is_a_fraction(self, spec):
+        degree = spec.nominal_degree
+        for failures in range(degree + 1):
+            fraction = reliability_fraction(spec, failures)
+            assert type(fraction) is Fraction
+            assert fraction == Fraction(degree - failures, degree)
+        assert reliability_fraction(spec, degree + 1) is None
 
     def test_exact_complement_before_rounding(self):
         for spec in SCALED_SPECS:
