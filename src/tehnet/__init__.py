@@ -8,14 +8,12 @@ from .errors import (
     CountOutOfRangeError,
     FamilyMismatchError,
     IndexOutOfRangeError,
-    InvalidDimensionError,
     NonPositiveDimensionError,
     NotPowerOfTwoError,
     ResourceLimitError,
     SpecError,
     TehnetError,
     TooManyFaultsError,
-    UnreachableError,
     UnsupportedFormatError,
 )
 from .metrics import (
@@ -34,7 +32,6 @@ from .reliability import (
     ReliabilityRow,
     inject_faults,
     monte_carlo_connectivity,
-    reliability_fraction,
     reliability_percent,
     reliability_table,
     unreliability_percent,
@@ -46,8 +43,6 @@ from .routing import (
     ROW_PLUS,
     Move,
     Path,
-    apply_move,
-    bfs_distance,
     cube_move,
     distance_closed,
     route,
@@ -77,10 +72,9 @@ from .topology import (
     encode_address,
     export_topology,
     hypercube_spec,
-    neighbors,
     teh_spec,
     torus_spec,
     validate_spec,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

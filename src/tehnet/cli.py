@@ -50,6 +50,9 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_RESOURCE = 3
 
+#: Largest ``reliability --f-max``, far above any degree a network here has.
+F_MAX_LIMIT = 1024
+
 _CONVENTIONS = {
     "exact": DiameterConvention.EXACT,
     "square": DiameterConvention.SQUARE_APPROX,
@@ -249,6 +252,8 @@ def _cmd_table(args: argparse.Namespace) -> str:
 def _cmd_reliability(args: argparse.Namespace) -> str:
     if args.f_max < 1:
         raise _UsageError(f"--f-max must be >= 1, got {args.f_max}")
+    if args.f_max > F_MAX_LIMIT:
+        raise _UsageError(f"--f-max must be <= {F_MAX_LIMIT}, got {args.f_max}")
     specs = [
         validate_spec(Family.TEH, *_parse_triple(text, "--spec must be l,m,N"))
         for text in args.specs or ("4,4,8", "4,4,16", "4,4,32", "4,4,64")

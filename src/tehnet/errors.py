@@ -29,10 +29,6 @@ class IndexOutOfRangeError(TehnetError, IndexError):
     """A dense node index is outside 0..node_count-1."""
 
 
-class InvalidDimensionError(TehnetError, ValueError):
-    """A hypercube bit index is outside 0..n-1."""
-
-
 class UnsupportedFormatError(TehnetError, ValueError):
     """An unknown serialization format name was requested."""
 
@@ -47,10 +43,6 @@ class TooManyFaultsError(TehnetError, ValueError):
 
 class CountOutOfRangeError(TehnetError, ValueError):
     """A fault or trial count is below its lower bound."""
-
-
-class UnreachableError(TehnetError, RuntimeError):
-    """No path exists between the requested endpoints."""
 
 
 class ClosedFormApproximationWarning(UserWarning):

@@ -1,9 +1,10 @@
-"""Closed-form performance metrics with breadth-first-search oracles.
+"""Closed-form performance metrics and one breadth-first-search diameter.
 
 Covers node degree, total link count, diameter, and topological cost
-(links times diameter).  Every closed form here has an explicit-graph
-oracle nearby: link counts against built edge sets, diameters against
-BFS eccentricities.
+(links times diameter).  The only search here is :func:`diameter_bfs`,
+node 0's eccentricity in the built graph, which self-check compares
+with :func:`diameter_closed`.  The brute-force oracles for the other
+closed forms live with the tests.
 
 Two diameter conventions exist for networks with a torus part:
 
@@ -22,7 +23,7 @@ import warnings
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import ClosedFormApproximationWarning, ResourceLimitError
+from .errors import ClosedFormApproximationWarning
 from .topology import Family, NetworkSpec, Topology
 
 
@@ -127,25 +128,14 @@ def _convention_diameter(spec: NetworkSpec, convention: DiameterConvention) -> i
     return square_torus_diameter(spec.rows * spec.cols) + spec.cube_dim
 
 
-def diameter_bfs(topology: Topology, all_pairs: bool = False, cap: int = 4096) -> int:
+def diameter_bfs(topology: Topology) -> int:
     """Diameter by breadth-first search over the explicit edge set.
 
-    By default returns the eccentricity of node 0, which equals the
-    diameter because these graphs are vertex-transitive (a property the
-    test suite checks independently).  With ``all_pairs=True`` every node
-    is used as a BFS source, subject to ``cap``.
-
-    Raises:
-        ResourceLimitError: In all-pairs mode when node_count exceeds
-            ``cap``.
+    Returns the eccentricity of node 0, which equals the diameter because
+    these graphs are vertex-transitive (self-check's vertex-transitivity
+    group and the test suite check this independently).
     """
-    if all_pairs and topology.node_count > cap:
-        raise ResourceLimitError(
-            f"all-pairs diameter on {topology.node_count} nodes exceeds the "
-            f"cap of {cap}"
-        )
-    sources = range(topology.node_count) if all_pairs else [0]
-    return max(max(topology.distances(source)) for source in sources)
+    return max(topology.distances(0))
 
 
 def topological_cost(

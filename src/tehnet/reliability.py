@@ -18,7 +18,7 @@ keeps a link, and not once all its links have failed.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import CountOutOfRangeError, SpecError, TooManyFaultsError
 from .topology import (
@@ -29,9 +29,6 @@ from .topology import (
     _check_node_cap,
     encode_address,
 )
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 def _round1_half_away(numerator: int, denominator: int) -> float:
@@ -54,27 +51,15 @@ def _surviving_degree(spec: NetworkSpec, failures: int) -> int | None:
     return degree if failures <= degree else None
 
 
-def reliability_fraction(spec: NetworkSpec, failures: int) -> Fraction | None:
-    """Exact surviving-link fraction (d - f) / d, or None for f > d.
-
-    Raises:
-        CountOutOfRangeError: If ``failures`` is below 0.
-        SpecError: If the spec's nominal degree is 0.
-    """
-    degree = _surviving_degree(spec, failures)
-    if degree is None:
-        return None
-    from fractions import Fraction  # here, not at module level: it loads decimal
-
-    return Fraction(degree - failures, degree)
-
-
 def reliability_percent(spec: NetworkSpec, failures: int) -> float | None:
     """Reliability percentage, one decimal, or None for f above the degree.
 
     Examples: degree 7 with one failure gives 85.7; with seven failures
-    gives 0.0; with eight there is no value.  Raises as
-    :func:`reliability_fraction` does.
+    gives 0.0; with eight there is no value.
+
+    Raises:
+        CountOutOfRangeError: If ``failures`` is below 0.
+        SpecError: If the spec's nominal degree is 0.
     """
     degree = _surviving_degree(spec, failures)
     if degree is None:

@@ -13,14 +13,7 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple
 
-from .errors import InvalidDimensionError, UnreachableError
-from .topology import (
-    NetworkSpec,
-    NodeAddress,
-    Topology,
-    check_address,
-    encode_address,
-)
+from .topology import NetworkSpec, NodeAddress, check_address
 
 
 class Move(NamedTuple):
@@ -49,35 +42,6 @@ COL_MINUS = Move("col_minus")
 @functools.cache
 def cube_move(dim: int) -> Move:
     return Move("cube", dim)
-
-
-def apply_move(spec: NetworkSpec, addr: NodeAddress, move: Move) -> NodeAddress:
-    """Apply one elementary move and return the image address.
-
-    Torus steps wrap modulo the ring size; a cube move complements one
-    bit of the hypercube label.
-
-    Raises:
-        AddressOutOfRangeError: If ``addr`` is invalid for ``spec``.
-        InvalidDimensionError: If a cube move names a bit outside 0..n-1.
-    """
-    check_address(spec, addr)
-    row, col, cube = addr
-    if move.kind == "col_plus":
-        return NodeAddress(row, (col + 1) % spec.cols, cube)
-    if move.kind == "col_minus":
-        return NodeAddress(row, (spec.cols + col - 1) % spec.cols, cube)
-    if move.kind == "row_plus":
-        return NodeAddress((row + 1) % spec.rows, col, cube)
-    if move.kind == "row_minus":
-        return NodeAddress((spec.rows + row - 1) % spec.rows, col, cube)
-    if move.kind == "cube":
-        if not 0 <= move.dim < spec.cube_dim:
-            raise InvalidDimensionError(
-                f"cube bit {move.dim} outside 0..{spec.cube_dim - 1}"
-            )
-        return NodeAddress(row, col, cube ^ (1 << move.dim))
-    raise InvalidDimensionError(f"unknown move kind {move.kind!r}")
 
 
 def _ring_distance(a: int, b: int, size: int) -> int:
@@ -159,21 +123,3 @@ def route(spec: NetworkSpec, src: NodeAddress, dst: NodeAddress) -> Path:
             hops.append(NodeAddress(row, col, cube))
     return Path(spec=spec, hops=tuple(hops), moves=tuple(moves))
 
-
-def bfs_distance(topology: Topology, a: NodeAddress, b: NodeAddress) -> int:
-    """Shortest-path length by breadth-first search on the explicit edges.
-
-    Kept independent of :func:`distance_closed` so the two can
-    cross-validate each other.
-
-    Raises:
-        UnreachableError: If ``b`` cannot be reached from ``a`` (possible
-            only on faulted graphs).
-    """
-    spec = topology.spec
-    start = encode_address(spec, a)
-    goal = encode_address(spec, b)
-    hops = topology.distances(start, goal)[goal]
-    if hops < 0:
-        raise UnreachableError(f"no path from {a} to {b}")
-    return hops

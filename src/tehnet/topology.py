@@ -193,37 +193,6 @@ def decode_address(spec: NetworkSpec, index: int) -> NodeAddress:
     return NodeAddress(row, col, cube)
 
 
-def neighbors(spec: NetworkSpec, addr: NodeAddress) -> list[tuple[NodeAddress, str]]:
-    """All distinct one-move neighbours of ``addr``, tagged by edge kind.
-
-    Candidates are generated in the fixed order column step forward,
-    column step backward, row step forward, row step backward, then one
-    bit complement per cube bit (ascending).  Duplicates keep their first
-    tag and the address itself is dropped; both cases occur when a ring
-    dimension is 2 or 1.
-    """
-    check_address(spec, addr)
-    row, col, cube = addr
-    rows, cols = spec.rows, spec.cols
-    candidates: list[tuple[NodeAddress, str]] = [
-        (NodeAddress(row, (col + 1) % cols, cube), TORUS_ROW),
-        (NodeAddress(row, (cols + col - 1) % cols, cube), TORUS_ROW),
-        (NodeAddress((row + 1) % rows, col, cube), TORUS_COLUMN),
-        (NodeAddress((rows + row - 1) % rows, col, cube), TORUS_COLUMN),
-    ]
-    candidates.extend(
-        (NodeAddress(row, col, cube ^ (1 << d)), hypercube_kind(d))
-        for d in range(spec.cube_dim)
-    )
-    out: list[tuple[NodeAddress, str]] = []
-    seen = {addr}
-    for cand, kind in candidates:
-        if cand not in seen:
-            seen.add(cand)
-            out.append((cand, kind))
-    return out
-
-
 class _TopologyFields(NamedTuple):
     spec: NetworkSpec
     edges: tuple[tuple[int, int, str], ...]
@@ -289,8 +258,10 @@ def _check_node_cap(spec: NetworkSpec, node_cap: int) -> None:
 def build_graph(spec: NetworkSpec, node_cap: int = DEFAULT_NODE_CAP) -> Topology:
     """Construct the explicit edge set for ``spec``.
 
-    The edge set is the union over all nodes of :func:`neighbors`, stored
-    undirected and de-duplicated.
+    Each node is joined to its images under the five elementary moves: a
+    column step (kind ``torus_row``) or row step (``torus_column``) either
+    way, and a complement of cube bit d (``hypercube_dim_<d>``).  Edges
+    are undirected and de-duplicated, so a ring of 1 or 2 adds fewer.
 
     Raises:
         ResourceLimitError: If node_count exceeds ``node_cap``.

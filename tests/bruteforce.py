@@ -1,11 +1,52 @@
-"""Brute-force oracles, written independently of the package internals.
+"""Brute-force oracles, written independently of the package.
 
 Everything here works on plain (row, col, cube) triples and dict-of-set
-adjacency, re-deriving the structure from the five elementary moves so
-library results have something external to agree with.
+adjacency and imports nothing from ``tehnet``.  :func:`moves` is the one
+definition of the five elementary moves; the neighbour lists, the
+adjacency, the reference router and the searches are all derived from it,
+so library results have something external to agree with.
 """
 
 from collections import deque
+
+
+def moves(rows, cols, cube_nodes, node):
+    """Every elementary move from ``node`` as (label, image, edge kind).
+
+    The order is fixed: column step forward, column step backward, row
+    step forward, row step backward, then one bit complement per cube bit,
+    ascending.  Images wrap modulo the ring size, so on rings of 1 or 2
+    they may repeat or equal ``node``.
+    """
+    i, j, k = node
+    found = [
+        ("col_plus", (i, (j + 1) % cols, k), "torus_row"),
+        ("col_minus", (i, (j - 1) % cols, k), "torus_row"),
+        ("row_plus", ((i + 1) % rows, j, k), "torus_column"),
+        ("row_minus", ((i - 1) % rows, j, k), "torus_column"),
+    ]
+    found += [
+        (f"cube_dim_{d}", (i, j, k ^ (1 << d)), f"hypercube_dim_{d}")
+        for d in range(cube_nodes.bit_length() - 1)
+    ]
+    return found
+
+
+def apply_move(rows, cols, cube_nodes, node, label):
+    """The image of ``node`` under the move named ``label``."""
+    images = {name: image for name, image, _ in moves(rows, cols, cube_nodes, node)}
+    return images[label]
+
+
+def neighbors(rows, cols, cube_nodes, node):
+    """Distinct one-move neighbours of ``node`` as (image, edge kind), in
+    move order; a repeated image keeps its first kind and ``node`` itself
+    is dropped."""
+    kinds = {}
+    for _, image, kind in moves(rows, cols, cube_nodes, node):
+        if image != node:
+            kinds.setdefault(image, kind)
+    return list(kinds.items())
 
 
 def enumerate_nodes(rows, cols, cube_nodes):
@@ -18,22 +59,38 @@ def enumerate_nodes(rows, cols, cube_nodes):
 
 
 def adjacency_by_enumeration(rows, cols, cube_nodes):
-    """Adjacency sets from direct application of the elementary moves."""
-    bits = cube_nodes.bit_length() - 1
-    adjacency = {node: set() for node in enumerate_nodes(rows, cols, cube_nodes)}
-    for i, j, k in adjacency:
-        images = [
-            (i, (j + 1) % cols, k),
-            (i, (cols + j - 1) % cols, k),
-            ((i + 1) % rows, j, k),
-            ((rows + i - 1) % rows, j, k),
-        ]
-        images += [(i, j, k ^ (1 << d)) for d in range(bits)]
-        for image in images:
-            if image != (i, j, k):
-                adjacency[(i, j, k)].add(image)
-                adjacency[image].add((i, j, k))
-    return adjacency
+    """Adjacency sets: each node's :func:`neighbors`."""
+    return {
+        node: {image for image, _ in neighbors(rows, cols, cube_nodes, node)}
+        for node in enumerate_nodes(rows, cols, cube_nodes)
+    }
+
+
+def _ring_labels(src, dst, size, plus, minus):
+    # Shorter wrap direction; ties (delta == size/2) go to the plus move.
+    forward = (dst - src) % size
+    if forward <= size - forward:
+        return [plus] * forward
+    return [minus] * (size - forward)
+
+
+def route_by_moves(rows, cols, cube_nodes, src, dst):
+    """The reference router: (hops, move labels) from ``src`` to ``dst``.
+
+    The move labels come first (column steps, then row steps, then cube
+    bits ascending), then each hop is one :func:`apply_move` from the last.
+    """
+    labels = _ring_labels(src[1], dst[1], cols, "col_plus", "col_minus")
+    labels += _ring_labels(src[0], dst[0], rows, "row_plus", "row_minus")
+    labels += [
+        f"cube_dim_{d}"
+        for d in range(cube_nodes.bit_length() - 1)
+        if (src[2] ^ dst[2]) >> d & 1
+    ]
+    hops = [src]
+    for label in labels:
+        hops.append(apply_move(rows, cols, cube_nodes, hops[-1], label))
+    return hops, labels
 
 
 def edge_count(adjacency):

@@ -9,7 +9,6 @@ from itertools import product
 
 from tehnet import (
     ScalingMode,
-    bfs_distance,
     build_graph,
     decode_address,
     diameter_bfs,
@@ -106,7 +105,10 @@ def test_oracle_equivalence_diameter():
         if spec.node_count > 4096:
             continue
         expected = rows // 2 + cols // 2 + spec.cube_dim
-        assert diameter_bfs(build_graph(spec), all_pairs=True) == expected, spec
+        topology = build_graph(spec)
+        assert diameter_bfs(topology) == expected, spec
+        for source in range(spec.node_count):
+            assert max(topology.distances(source)) == expected, (spec, source)
         checked += 1
     assert checked == 64
     print(f"PASS diameter oracle: {checked} specs, BFS == closed form")
@@ -119,11 +121,11 @@ def test_routing_correctness():
         spec = teh_spec(*dims)
         topology = build_graph(spec)
         nodes = [decode_address(spec, index) for index in range(spec.node_count)]
-        for src in nodes:
-            for dst in nodes:
+        for source, src in enumerate(nodes):
+            # One search per source gives the BFS distance to every dst.
+            for dst, searched in zip(nodes, topology.distances(source)):
                 path = route(spec, src, dst)
                 closed = distance_closed(spec, src, dst)
-                searched = bfs_distance(topology, src, dst)
                 assert path.hops[0] == src and path.hops[-1] == dst
                 assert path.length == closed == searched, (spec, src, dst)
                 pairs += 1

@@ -349,6 +349,15 @@ class TestInputBounds:
         assert err.startswith("usage error:") and "--f-max must be >= 1" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_reliability_f_max_above_limit(self, fmt):
+        code, out, err = invoke("reliability", "--f-max", "1025", "--format", fmt)
+        assert code == 1
+        assert out == ""
+        assert err == "usage error: --f-max must be <= 1024, got 1025\n"
+        code, out, _ = invoke("reliability", "--f-max", "1024", "--format", fmt)
+        assert code == 0
+
 
 class TestSelfCheck:
     def test_passes_on_a_fresh_build(self):

@@ -5,6 +5,7 @@ import json
 import pkgutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -208,9 +209,7 @@ codes = [
     tehnet.cli.run(argv.split(), out=io.StringIO(), err=io.StringIO())
     for argv in json.loads(sys.argv[2])
 ]
-after_commands = "fractions" in sys.modules
-tehnet.reliability_fraction(tehnet.teh_spec(4, 4, 8), 1)
-print(json.dumps([codes, after_commands, "fractions" in sys.modules]))
+print(json.dumps([codes, "fractions" in sys.modules]))
 """
 #: One command of each kind, the reliability grid in every format.
 _COMMANDS = [
@@ -228,8 +227,8 @@ _COMMANDS = [
 ]
 
 
-def test_commands_do_not_load_fractions_until_reliability_fraction():
-    # Only reliability_fraction builds a Fraction, so no command pays for
+def test_commands_do_not_load_fractions():
+    # The percentages are integer arithmetic, so no command pays for
     # importing fractions and decimal; no timing is asserted here.
     result = subprocess.run(
         [sys.executable, "-I", "-c", _COMMAND_PROBE, str(_SRC), json.dumps(_COMMANDS)],
@@ -238,7 +237,87 @@ def test_commands_do_not_load_fractions_until_reliability_fraction():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    codes, after_commands, after_fraction = json.loads(result.stdout)
+    codes, loaded_fractions = json.loads(result.stdout)
     assert codes == [0] * len(_COMMANDS)
-    assert not after_commands
-    assert after_fraction
+    assert not loaded_fractions
+
+
+#: The public names of ``tehnet`` 0.2.0, sorted; its submodules are left out.
+PUBLIC_NAMES = [
+    "AddressOutOfRangeError",
+    "COL_MINUS",
+    "COL_PLUS",
+    "CheckResult",
+    "ClosedFormApproximationWarning",
+    "ComparisonRow",
+    "CountOutOfRangeError",
+    "DEFAULT_NODE_CAP",
+    "DiameterConvention",
+    "Family",
+    "FamilyMismatchError",
+    "FaultScenario",
+    "FigureKind",
+    "FigurePoint",
+    "IndexOutOfRangeError",
+    "MetricsReport",
+    "Move",
+    "NetworkSpec",
+    "NodeAddress",
+    "NonPositiveDimensionError",
+    "NotPowerOfTwoError",
+    "Path",
+    "ROW_MINUS",
+    "ROW_PLUS",
+    "ReliabilityGrid",
+    "ReliabilityRow",
+    "ResourceLimitError",
+    "ScalingMode",
+    "ScalingStep",
+    "SpecError",
+    "TehnetError",
+    "TooManyFaultsError",
+    "Topology",
+    "UnsupportedFormatError",
+    "build_graph",
+    "cube_move",
+    "decode_address",
+    "diameter_bfs",
+    "diameter_closed",
+    "distance_closed",
+    "encode_address",
+    "export_topology",
+    "figure_data",
+    "hypercube_spec",
+    "inject_faults",
+    "link_count_closed",
+    "link_count_simple",
+    "metrics_report",
+    "monte_carlo_connectivity",
+    "reliability_percent",
+    "reliability_table",
+    "route",
+    "scaling_sequence",
+    "self_check",
+    "square_torus_diameter",
+    "table1_rows",
+    "table2_rows",
+    "table3_grid",
+    "teh_spec",
+    "topological_cost",
+    "torus_spec",
+    "unreliability_percent",
+    "validate_spec",
+]
+
+
+def test_public_surface_and_version():
+    names = sorted(
+        name
+        for name in dir(tehnet)
+        if not name.startswith("_")
+        and not isinstance(getattr(tehnet, name), types.ModuleType)
+    )
+    assert names == PUBLIC_NAMES
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((_SRC.parent / "pyproject.toml").read_text())
+    assert tehnet.__version__ == pyproject["project"]["version"]

@@ -23,7 +23,6 @@ from tehnet import (
     hypercube_spec,
     inject_faults,
     monte_carlo_connectivity,
-    reliability_fraction,
     reliability_percent,
     reliability_table,
     teh_spec,
@@ -89,7 +88,7 @@ PERCENT_ORACLE_SPECS = [
         ]
     )
 ]
-ALL_MODEL_FUNCTIONS = (reliability_fraction, reliability_percent, unreliability_percent)
+ALL_MODEL_FUNCTIONS = (reliability_percent, unreliability_percent)
 
 
 def antipodal_by_scan(spec):
@@ -101,6 +100,20 @@ def antipodal_by_scan(spec):
         if dist > best_dist:
             best_index, best_dist = index, dist
     return best_index
+
+
+@pytest.fixture
+def rounded(monkeypatch):
+    """The exact fractions the model hands to its rounding step, in order."""
+    seen = []
+    original = tehnet.reliability._round1_half_away
+
+    def spy(numerator, denominator):
+        seen.append(Fraction(numerator, denominator))
+        return original(numerator, denominator)
+
+    monkeypatch.setattr(tehnet.reliability, "_round1_half_away", spy)
+    return seen
 
 
 class TestAnalyticalModel:
@@ -162,19 +175,27 @@ class TestAnalyticalModel:
             assert actual == expected, (spec, failures)
 
     @pytest.mark.parametrize("spec", PERCENT_ORACLE_SPECS)
-    def test_fraction_is_a_fraction(self, spec):
+    def test_fraction_is_a_fraction(self, spec, rounded):
+        """reliability_percent rounds the exact fraction (d - f) / d."""
         degree = spec.nominal_degree
         for failures in range(degree + 1):
-            fraction = reliability_fraction(spec, failures)
-            assert type(fraction) is Fraction
-            assert fraction == Fraction(degree - failures, degree)
-        assert reliability_fraction(spec, degree + 1) is None
+            rounded.clear()
+            reliability_percent(spec, failures)
+            assert rounded == [Fraction(degree - failures, degree)]
+        rounded.clear()
+        assert reliability_percent(spec, degree + 1) is None
+        assert rounded == []
 
-    def test_exact_complement_before_rounding(self):
-        for spec in SCALED_SPECS:
-            for failures in range(spec.nominal_degree + 1):
-                surviving = reliability_fraction(spec, failures)
-                assert surviving + (1 - surviving) == Fraction(1)
+    def test_exact_complement_before_rounding(self, rounded):
+        """unreliability_percent rounds 1 - (d - f) / d, not 100 minus the
+        rounded reliability."""
+        for param in PERCENT_ORACLE_SPECS:
+            (spec,) = param.values
+            degree = spec.nominal_degree
+            for failures in range(degree + 1):
+                rounded.clear()
+                unreliability_percent(spec, failures)
+                assert rounded == [1 - Fraction(degree - failures, degree)]
 
     def test_rounded_complement(self):
         assert unreliability_percent(teh_spec(4, 4, 8), 1) == 14.3

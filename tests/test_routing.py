@@ -1,67 +1,61 @@
-"""Elementary moves, closed-form distance, the router, and the BFS oracle."""
+"""Closed-form distance, the router, and the moves and BFS it must agree
+with: the oracle's moves on triples and the built graph's searches."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from bruteforce import adjacency_by_enumeration, bfs_dist
+from bruteforce import adjacency_by_enumeration, apply_move, bfs_dist, route_by_moves
 from strategies import SMALL_SPEC_IDS, SMALL_SPECS, spec_with_addresses
 from tehnet import (
-    COL_MINUS,
     COL_PLUS,
-    ROW_MINUS,
     ROW_PLUS,
-    InvalidDimensionError,
     NodeAddress,
-    Path,
     Topology,
-    UnreachableError,
-    apply_move,
-    bfs_distance,
     build_graph,
     cube_move,
     decode_address,
     diameter_closed,
     distance_closed,
+    encode_address,
     hypercube_spec,
     route,
     teh_spec,
 )
 
 
+def shape(spec):
+    """(rows, cols, cube_nodes): the oracle functions' first arguments."""
+    return spec.rows, spec.cols, spec.cube_nodes
+
+
 class TestApplyMove:
+    """The oracle's moves, which the router's labels are checked against."""
+
     def test_column_step_wraps(self):
-        assert apply_move(teh_spec(2, 2, 8), NodeAddress(0, 0, 0), COL_PLUS) == (
-            NodeAddress(0, 1, 0)
-        )
+        assert apply_move(2, 2, 8, (0, 0, 0), "col_plus") == (0, 1, 0)
 
     def test_row_step_backward_wraps(self):
-        assert apply_move(teh_spec(4, 4, 8), NodeAddress(0, 0, 0), ROW_MINUS) == (
-            NodeAddress(3, 0, 0)
-        )
+        assert apply_move(4, 4, 8, (0, 0, 0), "row_minus") == (3, 0, 0)
 
     def test_cube_move_complements_one_bit(self):
-        assert apply_move(
-            teh_spec(2, 2, 8), NodeAddress(0, 0, 5), cube_move(2)
-        ) == NodeAddress(0, 0, 1)
-
-    def test_cube_dimension_bound(self):
-        with pytest.raises(InvalidDimensionError):
-            apply_move(teh_spec(2, 2, 8), NodeAddress(0, 0, 0), cube_move(3))
+        assert apply_move(2, 2, 8, (0, 0, 5), "cube_dim_2") == (0, 0, 1)
 
     @given(spec_with_addresses(count=1))
     def test_torus_round_trips(self, spec_and_addr):
         spec, (addr,) = spec_and_addr
-        there = apply_move(spec, addr, COL_PLUS)
-        assert apply_move(spec, there, COL_MINUS) == addr
-        there = apply_move(spec, addr, ROW_PLUS)
-        assert apply_move(spec, there, ROW_MINUS) == addr
+        node = tuple(addr)
+        there = apply_move(*shape(spec), node, "col_plus")
+        assert apply_move(*shape(spec), there, "col_minus") == node
+        there = apply_move(*shape(spec), node, "row_plus")
+        assert apply_move(*shape(spec), there, "row_minus") == node
 
     @given(spec_with_addresses(count=1, cube_sizes=(2, 4, 8, 16)), st.data())
     def test_cube_move_is_an_involution(self, spec_and_addr, data):
         spec, (addr,) = spec_and_addr
         dim = data.draw(st.integers(min_value=0, max_value=spec.cube_dim - 1))
-        move = cube_move(dim)
-        assert apply_move(spec, apply_move(spec, addr, move), move) == addr
+        label = f"cube_dim_{dim}"
+        there = apply_move(*shape(spec), tuple(addr), label)
+        assert apply_move(*shape(spec), there, label) == tuple(addr)
 
 
 class TestDistanceClosed:
@@ -116,29 +110,6 @@ class TestDistanceClosed:
         )
 
 
-def _ring_moves(src, dst, size, plus, minus):
-    # Shorter wrap direction; ties (delta == size/2) go to the plus move.
-    forward = (dst - src) % size
-    if forward == 0:
-        return []
-    if forward <= size - forward:
-        return [plus] * forward
-    return [minus] * (size - forward)
-
-
-def route_by_moves(spec, src, dst):
-    """The reference router: the move list first, then one apply_move per hop."""
-    pending = _ring_moves(src.col, dst.col, spec.cols, COL_PLUS, COL_MINUS)
-    pending += _ring_moves(src.row, dst.row, spec.rows, ROW_PLUS, ROW_MINUS)
-    pending += [
-        cube_move(d) for d in range(spec.cube_dim) if (src.cube ^ dst.cube) >> d & 1
-    ]
-    hops = [src]
-    for move in pending:
-        hops.append(apply_move(spec, hops[-1], move))
-    return Path(spec=spec, hops=tuple(hops), moves=tuple(pending))
-
-
 _REFERENCE_SPECS = [
     pytest.param(spec, id=spec_id)
     for spec, spec_id in zip(SMALL_SPECS, SMALL_SPEC_IDS)
@@ -183,7 +154,7 @@ class TestRoute:
         assert path.hops[-1] == dst
         assert len(path.hops) == len(path.moves) + 1
         for hop, move, nxt in zip(path.hops, path.moves, path.hops[1:]):
-            assert apply_move(spec, hop, move) == nxt
+            assert apply_move(*shape(spec), tuple(hop), move.label) == tuple(nxt)
         assert len(set(path.hops)) == len(path.hops)
         assert path.length == distance_closed(spec, src, dst)
         assert path.length <= diameter_closed(spec)
@@ -193,7 +164,10 @@ class TestRoute:
         nodes = [decode_address(spec, index) for index in range(spec.node_count)]
         for src in nodes:
             for dst in nodes:
-                assert route(spec, src, dst) == route_by_moves(spec, src, dst)
+                path = route(spec, src, dst)
+                hops, labels = route_by_moves(*shape(spec), tuple(src), tuple(dst))
+                assert list(map(tuple, path.hops)) == hops
+                assert [move.label for move in path.moves] == labels
 
     def test_cube_moves_are_shared(self):
         assert cube_move(3) is cube_move(3)
@@ -207,29 +181,28 @@ class TestRoute:
 
 
 class TestBfsDistance:
+    """Hop counts from ``Topology.distances`` on the built graph."""
+
     def test_agrees_with_closed_form(self):
         spec = teh_spec(2, 2, 8)
-        topology = build_graph(spec)
-        assert bfs_distance(topology, NodeAddress(0, 0, 0), NodeAddress(1, 1, 5)) == 4
+        goal = encode_address(spec, NodeAddress(1, 1, 5))
+        assert build_graph(spec).distances(0)[goal] == 4
 
     @given(spec_with_addresses(count=1))
     def test_identity(self, spec_and_addr):
         spec, (addr,) = spec_and_addr
-        assert bfs_distance(build_graph(spec), addr, addr) == 0
+        index = encode_address(spec, addr)
+        assert build_graph(spec).distances(index)[index] == 0
 
     def test_hypercube_distance_is_hamming(self):
-        spec = hypercube_spec(8)
-        topology = build_graph(spec)
+        topology = build_graph(hypercube_spec(8))
         for a in range(8):
-            for b in range(8):
-                assert bfs_distance(
-                    topology, NodeAddress(0, 0, a), NodeAddress(0, 0, b)
-                ) == (a ^ b).bit_count()
+            assert topology.distances(a) == [(a ^ b).bit_count() for b in range(8)]
 
     def test_unreachable_on_edgeless_graph(self):
+        # An unreached node reads -1.
         topology = Topology(spec=teh_spec(2, 2, 2), edges=())
-        with pytest.raises(UnreachableError):
-            bfs_distance(topology, NodeAddress(0, 0, 0), NodeAddress(1, 1, 1))
+        assert topology.distances(0) == [0, -1, -1, -1, -1, -1, -1, -1]
 
     @pytest.mark.parametrize("dims", [(3, 3, 4), (4, 4, 2), (2, 2, 8)])
     def test_all_routes_match_both_oracles(self, dims):
@@ -238,11 +211,11 @@ class TestBfsDistance:
         topology = build_graph(spec)
         oracle = adjacency_by_enumeration(*dims)
         nodes = [decode_address(spec, index) for index in range(spec.node_count)]
-        for src in nodes:
-            for dst in nodes:
+        for source, src in enumerate(nodes):
+            for dst, searched in zip(nodes, topology.distances(source)):
                 expected = bfs_dist(oracle, tuple(src), tuple(dst))
                 assert distance_closed(spec, src, dst) == expected
-                assert bfs_distance(topology, src, dst) == expected
+                assert searched == expected
                 assert route(spec, src, dst).length == expected
 
     def test_sampled_pairs_on_a_larger_network(self):
@@ -252,8 +225,10 @@ class TestBfsDistance:
         topology = build_graph(spec)
         rng = random.Random(2024)
         for _ in range(1000):
-            src = decode_address(spec, rng.randrange(spec.node_count))
-            dst = decode_address(spec, rng.randrange(spec.node_count))
+            source = rng.randrange(spec.node_count)
+            goal = rng.randrange(spec.node_count)
+            src = decode_address(spec, source)
+            dst = decode_address(spec, goal)
             expected = distance_closed(spec, src, dst)
             assert route(spec, src, dst).length == expected
-            assert bfs_distance(topology, src, dst) == expected
+            assert topology.distances(source, goal)[goal] == expected
