@@ -44,11 +44,6 @@ def cube_move(dim: int) -> Move:
     return Move("cube", dim)
 
 
-def _ring_distance(a: int, b: int, size: int) -> int:
-    delta = abs(a - b)
-    return min(delta, size - delta)
-
-
 def distance_closed(spec: NetworkSpec, a: NodeAddress, b: NodeAddress) -> int:
     """Shortest-path length in closed form.
 
@@ -57,9 +52,12 @@ def distance_closed(spec: NetworkSpec, a: NodeAddress, b: NodeAddress) -> int:
     """
     check_address(spec, a)
     check_address(spec, b)
+    # A ring's distance is the shorter of the two ways round it.
+    row_gap = abs(a.row - b.row)
+    col_gap = abs(a.col - b.col)
     return (
-        _ring_distance(a.row, b.row, spec.rows)
-        + _ring_distance(a.col, b.col, spec.cols)
+        min(row_gap, spec.rows - row_gap)
+        + min(col_gap, spec.cols - col_gap)
         + (a.cube ^ b.cube).bit_count()
     )
 
@@ -87,6 +85,9 @@ class Path(NamedTuple):
         }
 
 
+_hop = functools.partial(tuple.__new__, NodeAddress)
+
+
 def _ring_walk(src: int, dst: int, size: int) -> tuple[int, int]:
     """Step (+1 or -1) and step count of the shorter wrap direction; ties
     (delta == size/2) go forward."""
@@ -103,23 +104,24 @@ def route(spec: NetworkSpec, src: NodeAddress, dst: NodeAddress) -> Path:
     """
     check_address(spec, src)
     check_address(spec, dst)
-    # Each hop is made from the running coordinates, already in range.
+    # Each hop is made from the running coordinates, already in range, so
+    # the records are built by tuple.__new__ and skip the NamedTuple's
+    # Python-level __new__.
     row, col, cube = src
     hops = [src]
     step, count = _ring_walk(col, dst.col, spec.cols)
     moves = [COL_PLUS if step == 1 else COL_MINUS] * count
     for _ in range(count):
         col = (col + step) % spec.cols
-        hops.append(NodeAddress(row, col, cube))
+        hops.append(_hop((row, col, cube)))
     step, count = _ring_walk(row, dst.row, spec.rows)
     moves += [ROW_PLUS if step == 1 else ROW_MINUS] * count
     for _ in range(count):
         row = (row + step) % spec.rows
-        hops.append(NodeAddress(row, col, cube))
+        hops.append(_hop((row, col, cube)))
     for dim in range(spec.cube_dim):
         if (cube ^ dst.cube) >> dim & 1:
             cube ^= 1 << dim
             moves.append(cube_move(dim))
-            hops.append(NodeAddress(row, col, cube))
-    return Path(spec=spec, hops=tuple(hops), moves=tuple(moves))
-
+            hops.append(_hop((row, col, cube)))
+    return tuple.__new__(Path, (spec, tuple(hops), tuple(moves)))

@@ -97,10 +97,6 @@ def edge_count(adjacency):
     return sum(len(nbrs) for nbrs in adjacency.values()) // 2
 
 
-def edge_set(adjacency):
-    return {frozenset((a, b)) for a, nbrs in adjacency.items() for b in nbrs}
-
-
 def bfs_dist(adjacency, src, dst):
     """Hop distance by plain BFS; None when unreachable."""
     if src == dst:

@@ -6,11 +6,14 @@ import json
 import shutil
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from tehnet import selfcheck
+from bruteforce import adjacency_by_enumeration, bfs_dist
+from tehnet import build_graph, decode_address, selfcheck, teh_spec
+from tehnet.reliability import antipodal_node
 from tehnet.cli import _build_parser, run
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -359,6 +362,23 @@ class TestInputBounds:
         assert code == 0
 
 
+def share_per_cut(spec, failures, *_):
+    """The share of node 0's ``failures``-link cuts that keep it joined to
+    the antipodal node, with one rebuilt graph and one search per cut."""
+    adjacency = adjacency_by_enumeration(spec.rows, spec.cols, spec.cube_nodes)
+    source = (0, 0, 0)
+    goal = tuple(decode_address(spec, antipodal_node(spec)))
+    cuts = list(combinations(sorted(adjacency[source]), failures))
+    connected = 0
+    for cut in cuts:
+        kept = {node: set(nbrs) for node, nbrs in adjacency.items()}
+        for nbr in cut:
+            kept[source].discard(nbr)
+            kept[nbr].discard(source)
+        connected += bfs_dist(kept, source, goal) is not None
+    return connected / len(cuts)
+
+
 class TestSelfCheck:
     def test_passes_on_a_fresh_build(self):
         code, out, _ = invoke("self-check", "--max-nodes", "256")
@@ -412,6 +432,57 @@ class TestSelfCheck:
         code, out, _ = invoke("self-check", "--max-nodes", "128")
         assert code == 1
         assert "FAIL  diameter-closed-form: (3, 3, 1): BFS 2, closed form 3" in out
+        assert out.count("PASS") == 6
+
+    @pytest.mark.parametrize("dims", selfcheck._TRANSITIVITY_SPECS)
+    def test_shift_generators_span_the_group(self, dims):
+        # Checking the generators proves transitivity only if every shift
+        # is a composition of them.
+        rows, cols, cube_nodes = dims
+        generators = selfcheck._shift_generators(teh_spec(*dims))
+        reached = {(0, 0, 0)}
+        frontier = [(0, 0, 0)]
+        while frontier:
+            shifts = [
+                ((a + da) % rows, (b + db) % cols, c ^ dc)
+                for a, b, c in frontier
+                for da, db, dc in generators
+            ]
+            frontier = [shift for shift in shifts if shift not in reached]
+            reached.update(frontier)
+        assert len(reached) == rows * cols * cube_nodes
+
+    def test_transitivity_group_fails_on_a_relabelled_edge(self, monkeypatch):
+        def relabelled(spec):
+            graph = build_graph(spec)
+            *edges, (src, dst, kind) = graph.edges
+            assert src != 0
+            kind = "torus_column" if kind == "torus_row" else "torus_row"
+            return graph._replace(edges=(*edges, (src, dst, kind)))
+
+        monkeypatch.setattr(selfcheck, "build_graph", relabelled)
+        code, out, _ = invoke("self-check", "--max-nodes", "128")
+        assert code == 1
+        failure = next(line for line in out.splitlines() if "FAIL" in line)
+        assert failure.startswith("FAIL  vertex-transitivity: shift (")
+        assert failure.endswith(" does not preserve (3, 4, 4)")
+        assert out.count("PASS") == 6
+
+    def test_monte_carlo_count_matches_a_search_per_cut(self, monkeypatch):
+        monkeypatch.setattr(selfcheck, "monte_carlo_connectivity", share_per_cut)
+        code, out, _ = invoke("self-check", "--max-nodes", "128")
+        assert (code, out.count("PASS")) == (0, 7)
+
+        def one_share_off(spec, failures, *_):
+            share = share_per_cut(spec, failures)
+            off = (spec.label(), failures) == ("(2, 2, 4)", 2)
+            return share / 2 if off else share
+
+        monkeypatch.setattr(selfcheck, "monte_carlo_connectivity", one_share_off)
+        code, out, _ = invoke("self-check", "--max-nodes", "128")
+        assert code == 1
+        expected = "FAIL  monte-carlo: (2, 2, 4) f=2: 6 of 6 fault sets connected"
+        assert f"{expected}, closed form 0.5" in out
         assert out.count("PASS") == 6
 
     def test_reliability_group_fails_on_a_wrong_complement(self, monkeypatch):

@@ -9,7 +9,9 @@ from strategies import SMALL_SPEC_IDS, SMALL_SPECS, spec_with_addresses
 from tehnet import (
     COL_PLUS,
     ROW_PLUS,
+    Move,
     NodeAddress,
+    Path,
     Topology,
     build_graph,
     cube_move,
@@ -26,6 +28,13 @@ from tehnet import (
 def shape(spec):
     """(rows, cols, cube_nodes): the oracle functions' first arguments."""
     return spec.rows, spec.cols, spec.cube_nodes
+
+
+def move_named(label):
+    """The Move whose label is ``label``, built by its constructor."""
+    if label.startswith("cube_dim_"):
+        return Move(kind="cube", dim=int(label.removeprefix("cube_dim_")))
+    return Move(kind=label)
 
 
 class TestApplyMove:
@@ -166,8 +175,17 @@ class TestRoute:
             for dst in nodes:
                 path = route(spec, src, dst)
                 hops, labels = route_by_moves(*shape(spec), tuple(src), tuple(dst))
-                assert list(map(tuple, path.hops)) == hops
+                assert [(h.row, h.col, h.cube) for h in path.hops] == hops
                 assert [move.label for move in path.moves] == labels
+                # The router builds its records without their constructors;
+                # they must still be exactly the keyword-built ones.
+                assert type(path) is Path
+                assert all(type(hop) is NodeAddress for hop in path.hops)
+                assert path == Path(
+                    spec=spec,
+                    hops=tuple(NodeAddress(*hop) for hop in hops),
+                    moves=tuple(map(move_named, labels)),
+                )
 
     def test_cube_moves_are_shared(self):
         assert cube_move(3) is cube_move(3)
