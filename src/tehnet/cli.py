@@ -335,8 +335,15 @@ def _cmd_self_check(args: argparse.Namespace) -> tuple[str, int]:
 
 
 @functools.cache
-def _build_parser() -> _Parser:
-    """The one parser of this process, built on the first :func:`run`.
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The parsers of this process, built on the first :func:`run`: the
+    top-level parser, and the map from each command word (aliases
+    included) to that command's parser.
+
+    :func:`run` parses an argv that starts with a command word by that
+    command's parser alone.  Every other argv (empty, ``--help``, an
+    unknown word, an option before the command) goes to the top-level
+    parser, which therefore only prints its help or raises a usage error.
 
     Reuse is safe: each ``parse_args`` fills a fresh namespace, and
     ``--spec`` appends to a new list because its default is ``None``.
@@ -403,7 +410,7 @@ def _build_parser() -> _Parser:
     _add_max_nodes(p_check, 512)
     p_check.add_argument("--data-dir", dest="data_dir", help=argparse.SUPPRESS)
 
-    return parser
+    return parser, sub.choices
 
 
 _HANDLERS = {
@@ -422,12 +429,24 @@ def run(
     out: IO[str] | None = None,
     err: IO[str] | None = None,
 ) -> int:
-    """Parse ``argv``, run one command, and return the exit code."""
+    """Parse ``argv`` (``sys.argv[1:]`` when None), run one command, and
+    return the exit code.
+
+    When the first word names a command, the rest goes straight to that
+    command's parser, which the top-level parser would hand it to after
+    a scan of its own; any other ``argv`` goes to the top-level parser.
+    """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        command = commands.get(argv[0]) if argv else None
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args = command.parse_args(argv[1:])
+            args.command = argv[0]
         if args.command in ("self-check", "self_check"):
             text, code = _cmd_self_check(args)
             out.write(text)

@@ -50,15 +50,23 @@ def distance_closed(spec: NetworkSpec, a: NodeAddress, b: NodeAddress) -> int:
     Ring distance on rows plus ring distance on columns plus the Hamming
     distance of the cube labels.
     """
-    check_address(spec, a)
-    check_address(spec, b)
+    a_row, a_col, a_cube = a.row, a.col, a.cube
+    b_row, b_col, b_cube = b.row, b.col, b.cube
+    rows, cols, cube_nodes = spec.rows, spec.cols, spec.cube_nodes
+    if not (
+        0 <= a_row < rows and 0 <= a_col < cols and 0 <= a_cube < cube_nodes
+        and 0 <= b_row < rows and 0 <= b_col < cols and 0 <= b_cube < cube_nodes
+    ):
+        # One of these raises, for a when both are out of range.
+        check_address(spec, a)
+        check_address(spec, b)
     # A ring's distance is the shorter of the two ways round it.
-    row_gap = abs(a.row - b.row)
-    col_gap = abs(a.col - b.col)
+    row_gap = abs(a_row - b_row)
+    col_gap = abs(a_col - b_col)
     return (
-        min(row_gap, spec.rows - row_gap)
-        + min(col_gap, spec.cols - col_gap)
-        + (a.cube ^ b.cube).bit_count()
+        min(row_gap, rows - row_gap)
+        + min(col_gap, cols - col_gap)
+        + (a_cube ^ b_cube).bit_count()
     )
 
 
@@ -102,25 +110,32 @@ def route(spec: NetworkSpec, src: NodeAddress, dst: NodeAddress) -> Path:
     cube move per differing bit in ascending bit order.  The result
     length always equals :func:`distance_closed`.
     """
-    check_address(spec, src)
-    check_address(spec, dst)
+    row, col, cube = src.row, src.col, src.cube
+    dst_row, dst_col, dst_cube = dst.row, dst.col, dst.cube
+    rows, cols, cube_nodes = spec.rows, spec.cols, spec.cube_nodes
+    if not (
+        0 <= row < rows and 0 <= col < cols and 0 <= cube < cube_nodes
+        and 0 <= dst_row < rows and 0 <= dst_col < cols and 0 <= dst_cube < cube_nodes
+    ):
+        # One of these raises, for src when both are out of range.
+        check_address(spec, src)
+        check_address(spec, dst)
     # Each hop is made from the running coordinates, already in range, so
     # the records are built by tuple.__new__ and skip the NamedTuple's
     # Python-level __new__.
-    row, col, cube = src
     hops = [src]
-    step, count = _ring_walk(col, dst.col, spec.cols)
+    step, count = _ring_walk(col, dst_col, cols)
     moves = [COL_PLUS if step == 1 else COL_MINUS] * count
     for _ in range(count):
-        col = (col + step) % spec.cols
+        col = (col + step) % cols
         hops.append(_hop((row, col, cube)))
-    step, count = _ring_walk(row, dst.row, spec.rows)
+    step, count = _ring_walk(row, dst_row, rows)
     moves += [ROW_PLUS if step == 1 else ROW_MINUS] * count
     for _ in range(count):
-        row = (row + step) % spec.rows
+        row = (row + step) % rows
         hops.append(_hop((row, col, cube)))
     for dim in range(spec.cube_dim):
-        if (cube ^ dst.cube) >> dim & 1:
+        if (cube ^ dst_cube) >> dim & 1:
             cube ^= 1 << dim
             moves.append(cube_move(dim))
             hops.append(_hop((row, col, cube)))

@@ -105,8 +105,20 @@ def _oracle_specs(max_nodes: int) -> list[NetworkSpec]:
     return [spec for spec in specs if spec.node_count <= max_nodes]
 
 
+def _no_oracle_spec(max_nodes: int) -> str:
+    """The failure detail of a group whose cap leaves it nothing to check."""
+    smallest = min(teh_spec(*dims).node_count for dims in _ORACLE_GRID)
+    return (
+        f"max_nodes {max_nodes} admits no oracle spec; "
+        f"the smallest has {smallest} nodes"
+    )
+
+
 def _check_links(build: _Build, max_nodes: int) -> str:
-    for spec in _oracle_specs(max_nodes):
+    specs = _oracle_specs(max_nodes)
+    if not specs:
+        return _no_oracle_spec(max_nodes)
+    for spec in specs:
         built = len(build(spec).edges)
         closed = link_count_closed(spec)
         simple = link_count_simple(spec)
@@ -118,8 +130,11 @@ def _check_links(build: _Build, max_nodes: int) -> str:
 
 
 def _check_diameter(build: _Build, max_nodes: int) -> str:
+    specs = _oracle_specs(max_nodes)
+    if not specs:
+        return _no_oracle_spec(max_nodes)
     # Eccentricity from node 0 suffices: the transitivity group runs first.
-    for spec in _oracle_specs(max_nodes):
+    for spec in specs:
         measured = diameter_bfs(build(spec))
         expected = diameter_closed(spec)
         if measured != expected:

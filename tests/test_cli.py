@@ -434,6 +434,23 @@ class TestSelfCheck:
         assert "FAIL  diameter-closed-form: (3, 3, 1): BFS 2, closed form 3" in out
         assert out.count("PASS") == 6
 
+    @pytest.mark.parametrize("cap", ["8", "0", "-5"])
+    def test_fails_when_the_cap_admits_no_oracle_spec(self, cap):
+        # The smallest oracle spec, (3, 3, 1), has 9 nodes: a lower cap
+        # leaves both graph-size groups nothing to check.
+        code, out, err = invoke("self-check", "--max-nodes", cap)
+        assert (code, err) == (1, "")
+        detail = f"max_nodes {cap} admits no oracle spec; the smallest has 9 nodes"
+        assert f"FAIL  links-closed-form: {detail}\n" in out
+        assert f"FAIL  diameter-closed-form: {detail}\n" in out
+        assert out.count("PASS") == 5
+        assert out.endswith("5/7 groups passed\n")
+
+    def test_smallest_oracle_spec_is_checked_at_its_node_count(self):
+        code, out, _ = invoke("self-check", "--max-nodes", "9")
+        assert code == 0
+        assert "7/7 groups passed" in out
+
     @pytest.mark.parametrize("dims", selfcheck._TRANSITIVITY_SPECS)
     def test_shift_generators_span_the_group(self, dims):
         # Checking the generators proves transitivity only if every shift
@@ -493,6 +510,67 @@ class TestSelfCheck:
         assert code == 1
         assert "FAIL  reliability-model" in out
         assert out.count("PASS") == 6
+
+
+#: (exit, stdout, stderr) of argv at the edges of dispatch, captured when
+#: every argv still went through the top-level parser: none, help before a
+#: command, options before a command, a word that is not one, ``--``,
+#: abbreviated and ``=`` options, trailing extras, and addresses out of range.
+DISPATCH_CASES = json.loads((CLI_GOLDEN_DIR / "dispatch.json").read_text())
+COMMAND_WORDS = {
+    "metrics", "route", "table", "reliability", "simulate", "export", "scale",
+    "self-check", "self_check",
+}
+
+
+class TestDispatch:
+    @pytest.mark.parametrize(
+        "case", DISPATCH_CASES, ids=[" ".join(c["argv"]) for c in DISPATCH_CASES]
+    )
+    def test_pinned_bytes(self, case):
+        assert invoke(*case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
+
+    def test_command_words_skip_the_top_level_parser(self, monkeypatch):
+        """Every sweep argv that starts with a command word gives its pinned
+        bytes without a call to the top-level parser."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top-level parser parsed a command")
+
+        parser, _ = _build_parser()
+        monkeypatch.setattr(parser, "parse_args", refuse)
+        sweep = json.loads((CLI_GOLDEN_DIR / "sweep.json").read_text())
+        direct = [argv for argv in sweep if argv and argv.split()[0] in COMMAND_WORDS]
+        assert len(direct) == len(sweep) - 3  # all but "", "bogus", "--help"
+        for argv in direct:
+            result = json.dumps(list(invoke(*argv.split()))).encode()
+            assert hashlib.sha256(result).hexdigest() == sweep[argv], argv
+        with pytest.raises(AssertionError, match="top-level parser"):
+            invoke("--help")
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["table", "--id", "1", "--format", "csv"],
+             (0, (GOLDEN_DIR / "table1.csv").read_text(), "")),
+            ([], (1, "", "usage error: the following arguments are required: "
+                  "command\n")),
+        ],
+    )
+    def test_none_reads_sys_argv(self, monkeypatch, argv, expected):
+        monkeypatch.setattr(sys, "argv", ["tehnet", *argv])
+        out, err = io.StringIO(), io.StringIO()
+        code = run(None, out, err)
+        assert (code, out.getvalue(), err.getvalue()) == expected
+
+    @pytest.mark.parametrize(
+        "argv", [("table", "--id", "1", "--format", "csv"), ("--help",), ()]
+    )
+    @pytest.mark.parametrize("container", [tuple, iter])
+    def test_any_iterable_argv_answers_as_a_list(self, argv, container):
+        out, err = io.StringIO(), io.StringIO()
+        code = run(container(argv), out, err)
+        assert (code, out.getvalue(), err.getvalue()) == invoke(*argv)
 
 
 class TestParserReuse:

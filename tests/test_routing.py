@@ -9,6 +9,7 @@ from strategies import SMALL_SPEC_IDS, SMALL_SPECS, spec_with_addresses
 from tehnet import (
     COL_PLUS,
     ROW_PLUS,
+    AddressOutOfRangeError,
     Move,
     NodeAddress,
     Path,
@@ -124,6 +125,45 @@ _REFERENCE_SPECS = [
     for spec, spec_id in zip(SMALL_SPECS, SMALL_SPEC_IDS)
     if spec.node_count <= 64
 ]
+
+
+_BAD_ADDRESSES = [
+    # Each coordinate of teh(3, 4, 8) just below and at its bound.
+    (-1, 0, 0), (3, 0, 0), (0, -1, 0), (0, 4, 0), (0, 0, -1), (0, 0, 8),
+]
+
+
+class TestAddressRange:
+    """``route`` and ``distance_closed`` reject an address outside the spec
+    with the message ``check_address`` gives, naming ``src`` first."""
+
+    SPEC = teh_spec(3, 4, 8)
+    GOOD = NodeAddress(2, 3, 7)
+
+    @pytest.mark.parametrize("func", [route, distance_closed])
+    @pytest.mark.parametrize("side", ["src", "dst"])
+    @pytest.mark.parametrize("bad", _BAD_ADDRESSES, ids=map(str, _BAD_ADDRESSES))
+    def test_each_bound_in_each_argument(self, func, side, bad):
+        ends = {"src": self.GOOD, "dst": self.GOOD, side: NodeAddress(*bad)}
+        row, col, cube = bad
+        message = f"address {row},{col},{cube} out of range for (3, 4, 8)"
+        with pytest.raises(AddressOutOfRangeError) as raised:
+            func(self.SPEC, ends["src"], ends["dst"])
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("func", [route, distance_closed])
+    def test_both_out_of_range_names_src(self, func):
+        src, dst = NodeAddress(0, 4, 0), NodeAddress(-1, 0, 9)
+        with pytest.raises(AddressOutOfRangeError) as raised:
+            func(self.SPEC, src, dst)
+        assert str(raised.value) == "address 0,4,0 out of range for (3, 4, 8)"
+
+    @pytest.mark.parametrize("func", [route, distance_closed])
+    @pytest.mark.parametrize("side", ["src", "dst"])
+    def test_plain_tuple_is_not_an_address(self, func, side):
+        ends = {"src": self.GOOD, "dst": self.GOOD, side: (0, 0, 0)}
+        with pytest.raises(AttributeError):
+            func(self.SPEC, ends["src"], ends["dst"])
 
 
 class TestRoute:
