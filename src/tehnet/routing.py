@@ -61,13 +61,13 @@ def distance_closed(spec: NetworkSpec, a: NodeAddress, b: NodeAddress) -> int:
         check_address(spec, a)
         check_address(spec, b)
     # A ring's distance is the shorter of the two ways round it.
-    row_gap = abs(a_row - b_row)
-    col_gap = abs(a_col - b_col)
-    return (
-        min(row_gap, rows - row_gap)
-        + min(col_gap, cols - col_gap)
-        + (a_cube ^ b_cube).bit_count()
-    )
+    row_gap = (a_row - b_row) % rows
+    if row_gap > rows - row_gap:
+        row_gap = rows - row_gap
+    col_gap = (a_col - b_col) % cols
+    if col_gap > cols - col_gap:
+        col_gap = cols - col_gap
+    return row_gap + col_gap + (a_cube ^ b_cube).bit_count()
 
 
 class Path(NamedTuple):
@@ -96,13 +96,6 @@ class Path(NamedTuple):
 _hop = functools.partial(tuple.__new__, NodeAddress)
 
 
-def _ring_walk(src: int, dst: int, size: int) -> tuple[int, int]:
-    """Step (+1 or -1) and step count of the shorter wrap direction; ties
-    (delta == size/2) go forward."""
-    forward = (dst - src) % size
-    return (1, forward) if forward <= size - forward else (-1, size - forward)
-
-
 def route(spec: NetworkSpec, src: NodeAddress, dst: NodeAddress) -> Path:
     """Deterministic shortest path from ``src`` to ``dst``.
 
@@ -124,19 +117,37 @@ def route(spec: NetworkSpec, src: NodeAddress, dst: NodeAddress) -> Path:
     # the records are built by tuple.__new__ and skip the NamedTuple's
     # Python-level __new__.
     hops = [src]
-    step, count = _ring_walk(col, dst_col, cols)
-    moves = [COL_PLUS if step == 1 else COL_MINUS] * count
-    for _ in range(count):
-        col = (col + step) % cols
-        hops.append(_hop((row, col, cube)))
-    step, count = _ring_walk(row, dst_row, rows)
-    moves += [ROW_PLUS if step == 1 else ROW_MINUS] * count
-    for _ in range(count):
-        row = (row + step) % rows
-        hops.append(_hop((row, col, cube)))
-    for dim in range(spec.cube_dim):
-        if (cube ^ dst_cube) >> dim & 1:
-            cube ^= 1 << dim
-            moves.append(cube_move(dim))
+    moves = []
+    # Each ring goes the shorter way round; a tie (half the ring) goes
+    # forward.
+    if col != dst_col:
+        count = (dst_col - col) % cols
+        if count <= cols - count:
+            step = 1
+            moves += [COL_PLUS] * count
+        else:
+            step, count = -1, cols - count
+            moves += [COL_MINUS] * count
+        for _ in range(count):
+            col = (col + step) % cols
             hops.append(_hop((row, col, cube)))
+    if row != dst_row:
+        count = (dst_row - row) % rows
+        if count <= rows - count:
+            step = 1
+            moves += [ROW_PLUS] * count
+        else:
+            step, count = -1, rows - count
+            moves += [ROW_MINUS] * count
+        for _ in range(count):
+            row = (row + step) % rows
+            hops.append(_hop((row, col, cube)))
+    # One flip per set bit of the difference, lowest first.
+    diff = cube ^ dst_cube
+    while diff:
+        low = diff & -diff
+        diff ^= low
+        cube ^= low
+        moves.append(cube_move(low.bit_length() - 1))
+        hops.append(_hop((row, col, cube)))
     return tuple.__new__(Path, (spec, tuple(hops), tuple(moves)))

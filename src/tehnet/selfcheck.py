@@ -229,8 +229,10 @@ def self_check(max_nodes: int = 512, data_dir: Path | None = None) -> list[Check
     """Run every check group and return one result per group.
 
     Args:
-        max_nodes: Upper bound on node_count for the graph-building
-            oracle grids.
+        max_nodes: Upper bound on node_count for the links and
+            diameter oracle grids only.  The vertex-transitivity,
+            routing and monte-carlo groups always build their fixed
+            specs of 16 to 48 nodes.
         data_dir: Override directory for the golden table files
             (defaults to the files shipped inside the package).
     """

@@ -415,6 +415,22 @@ class TestSelfCheck:
         assert "FAIL  routing:" in out
         assert out.count("PASS") == 6
 
+    def test_routing_group_fails_on_a_wrong_router(self, monkeypatch):
+        route = selfcheck.route
+
+        def one_move_short(spec, src, dst):
+            path = route(spec, src, dst)
+            if (spec.label(), src, dst) == ("(3, 3, 4)", (1, 2, 3), (2, 0, 1)):
+                return path._replace(hops=path.hops[:-1], moves=path.moves[:-1])
+            return path
+
+        monkeypatch.setattr(selfcheck, "route", one_move_short)
+        code, out, _ = invoke("self-check", "--max-nodes", "128")
+        assert code == 1
+        expected = "FAIL  routing: (3, 3, 4) 1,2,3->2,0,1: closed 3, bfs 3, route 2"
+        assert f"{expected}\n" in out
+        assert out.count("PASS") == 6
+
     def test_links_group_fails_on_a_wrong_closed_form(self, monkeypatch):
         # The graphs are built once per self-check and shared between groups;
         # each group must still fail on its own closed form.
@@ -450,6 +466,22 @@ class TestSelfCheck:
         code, out, _ = invoke("self-check", "--max-nodes", "9")
         assert code == 0
         assert "7/7 groups passed" in out
+
+    def test_max_nodes_caps_only_the_oracle_grids(self, monkeypatch):
+        # At 9 only (3, 3, 1) is left of the grids; the other groups still
+        # build their fixed specs, each once.
+        built = []
+
+        def recording(spec):
+            built.append((spec.rows, spec.cols, spec.cube_nodes))
+            return build_graph(spec)
+
+        monkeypatch.setattr(selfcheck, "build_graph", recording)
+        code, out, _ = invoke("self-check", "--max-nodes", "9")
+        assert (code, out.count("PASS")) == (0, 7)
+        assert built == [
+            (3, 4, 4), (2, 2, 8), (3, 3, 1), (3, 3, 4), (4, 4, 2), (2, 2, 4)
+        ]
 
     @pytest.mark.parametrize("dims", selfcheck._TRANSITIVITY_SPECS)
     def test_shift_generators_span_the_group(self, dims):

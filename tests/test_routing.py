@@ -68,6 +68,13 @@ class TestApplyMove:
         assert apply_move(*shape(spec), there, label) == tuple(addr)
 
 
+_REFERENCE_SPECS = [
+    pytest.param(spec, id=spec_id)
+    for spec, spec_id in zip(SMALL_SPECS, SMALL_SPEC_IDS)
+    if spec.node_count <= 64
+]
+
+
 class TestDistanceClosed:
     def test_ring_plus_hamming(self):
         spec = teh_spec(2, 2, 8)
@@ -119,12 +126,15 @@ class TestDistanceClosed:
             spec, a, b
         )
 
-
-_REFERENCE_SPECS = [
-    pytest.param(spec, id=spec_id)
-    for spec, spec_id in zip(SMALL_SPECS, SMALL_SPEC_IDS)
-    if spec.node_count <= 64
-]
+    @pytest.mark.parametrize("spec", _REFERENCE_SPECS)
+    def test_matches_bfs_on_every_pair(self, spec):
+        # Rings of 1 and 2 included: there both ways round have the same
+        # length, or the ring has no other node.
+        topology = build_graph(spec)
+        nodes = [decode_address(spec, index) for index in range(spec.node_count)]
+        for source, src in enumerate(nodes):
+            closed = [distance_closed(spec, src, dst) for dst in nodes]
+            assert closed == topology.distances(source)
 
 
 _BAD_ADDRESSES = [
@@ -226,6 +236,30 @@ class TestRoute:
                     hops=tuple(NodeAddress(*hop) for hop in hops),
                     moves=tuple(map(move_named, labels)),
                 )
+
+    def test_flips_only_the_differing_cube_bits(self):
+        spec = hypercube_spec(1 << 20)
+        dst = NodeAddress(0, 0, 1 | 1 << 5 | 1 << 19)
+        path = route(spec, NodeAddress(0, 0, 0), dst)
+        assert [move.label for move in path.moves] == [
+            "cube_dim_0",
+            "cube_dim_5",
+            "cube_dim_19",
+        ]
+        assert [hop.cube for hop in path.hops] == [0, 1, 1 | 1 << 5, dst.cube]
+
+    def test_matches_the_reference_router_on_long_wrapping_walks(self):
+        import random
+
+        spec = teh_spec(64, 64, 64)
+        rng = random.Random(14)
+        for _ in range(500):
+            src = decode_address(spec, rng.randrange(spec.node_count))
+            dst = decode_address(spec, rng.randrange(spec.node_count))
+            path = route(spec, src, dst)
+            hops, labels = route_by_moves(*shape(spec), tuple(src), tuple(dst))
+            assert [tuple(hop) for hop in path.hops] == hops
+            assert [move.label for move in path.moves] == labels
 
     def test_cube_moves_are_shared(self):
         assert cube_move(3) is cube_move(3)
