@@ -8,13 +8,13 @@ self-check, 2 domain error, 3 resource limit.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
 import warnings
 from pathlib import Path
-from typing import IO, Sequence
+from types import SimpleNamespace
+from typing import IO, Callable, NamedTuple, Sequence
 
 from .errors import ClosedFormApproximationWarning, ResourceLimitError, TehnetError
 from .metrics import DiameterConvention, link_count_simple, metrics_report
@@ -68,45 +68,154 @@ class _HelpRequested(Exception):
     """Carries the help text of ``--help`` back to :func:`run`."""
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(message)
+class _Option(NamedTuple):
+    """One ``--flag value`` option of a command, as argparse is told it."""
 
-    def print_help(self, file: IO[str] | None = None) -> None:
-        # --help calls this, then exits; run writes the text to out instead.
-        raise _HelpRequested(self.format_help())
+    flag: str
+    dest: str
+    type: Callable[[str], object] | None = None
+    choices: tuple | None = None
+    default: object = None
+    required: bool = False
+    help: str | None = None
+    metavar: str | None = None
+    append: bool = False
 
-    def _get_formatter(self) -> argparse.HelpFormatter:
-        # Help wraps as on an 80-column terminal, whatever the real one is.
-        return self.formatter_class(prog=self.prog, width=78)
+
+#: The help of an option left out of ``--help``; it stands for
+#: ``argparse.SUPPRESS``, which argparse tests by identity.
+_SUPPRESS = "==SUPPRESS=="
+
+_SPEC_OPTIONS = (
+    _Option(
+        "--family", "family", choices=tuple(f.value for f in Family), required=True
+    ),
+    _Option("--l", "rows", int, help="torus rows"),
+    _Option("--m", "cols", int, help="torus columns"),
+    _Option("--cube", "cube_nodes", int, help="hypercube node count"),
+)
+_FORMAT = _Option("--format", "format", choices=("csv", "json", "text"), default="text")
+_MAX_NODES = _Option("--max-nodes", "max_nodes", int, default=DEFAULT_NODE_CAP)
+_CONVENTION = _Option("--convention", "convention", choices=tuple(sorted(_CONVENTIONS)))
 
 
-def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--family", choices=[f.value for f in Family], required=True
+#: Each command's help line, its aliases, and its options in ``--help`` order.
+_COMMAND_TABLE: dict[str, tuple[str, tuple[str, ...], tuple[_Option, ...]]] = {
+    "metrics": (
+        "closed-form network metrics", (),
+        (*_SPEC_OPTIONS, _FORMAT, _CONVENTION._replace(default="exact")),
+    ),
+    "route": (
+        "deterministic shortest path", (),
+        (
+            *_SPEC_OPTIONS, _FORMAT, _MAX_NODES,
+            _Option("--from", "src", required=True, help="source i,j,k"),
+            _Option("--to", "dst", required=True, help="destination i,j,k"),
+        ),
+    ),
+    "table": (
+        "comparison tables 1-3", (),
+        (
+            _Option("--id", "id", int, choices=(1, 2, 3), required=True),
+            _FORMAT,
+            _CONVENTION,
+        ),
+    ),
+    "reliability": (
+        "reliability grid", (),
+        (
+            _Option("--f-max", "f_max", int, default=9),
+            _Option("--spec", "specs", metavar="L,M,N", append=True,
+                    help="repeatable; defaults to the (4,4,8..64) series"),
+            _FORMAT,
+        ),
+    ),
+    "simulate": (
+        "exact incident-link fault connectivity", (),
+        (
+            *_SPEC_OPTIONS, _FORMAT, _MAX_NODES,
+            _Option("--f", "failures", int, required=True),
+            _Option("--trials", "trials", int, default=1000),
+            _Option("--seed", "seed", int, default=0),
+        ),
+    ),
+    "export": (
+        "write the explicit topology", (),
+        (
+            *_SPEC_OPTIONS,
+            _Option("--format", "export_format", choices=("dot", "csv", "json"),
+                    default="csv"),
+            _MAX_NODES,
+        ),
+    ),
+    "scale": (
+        "scale-up sequences", (),
+        (
+            *_SPEC_OPTIONS, _FORMAT, _MAX_NODES,
+            _Option("--mode", "mode", choices=("torus", "hypercube"), required=True),
+            _Option("--steps", "steps", int, required=True),
+        ),
+    ),
+    "self-check": (
+        "run the built-in oracle suite", ("self_check",),
+        (
+            _MAX_NODES._replace(default=512),
+            _Option("--data-dir", "data_dir", help=_SUPPRESS),
+        ),
+    ),
+}
+
+#: Each command word, aliases included, to its options by flag, its
+#: defaults by dest, and the flags it requires.
+_TABLE_PARSE = {
+    word: (
+        {option.flag: option for option in options},
+        {option.dest: option.default for option in options},
+        {option.flag for option in options if option.required},
     )
-    parser.add_argument("--l", type=int, dest="rows", help="torus rows")
-    parser.add_argument("--m", type=int, dest="cols", help="torus columns")
-    parser.add_argument(
-        "--cube", type=int, dest="cube_nodes", help="hypercube node count"
-    )
+    for name, (_, aliases, options) in _COMMAND_TABLE.items()
+    for word in (name, *aliases)
+}
 
 
-def _add_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=["csv", "json", "text"], default="text")
+def _parse_table(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse would give ``argv`` when ``argv`` is a command
+    word and then exact ``--option value`` pairs of that command, each value
+    not starting with ``-``, converting and in its choices, with every
+    required option given; None for any other ``argv``.
+
+    This is the route of every canonical argv.  What it declines (help,
+    usage errors, abbreviated or ``--opt=value`` spellings, ``--``) goes
+    to argparse, which prints the help or words the error.
+    """
+    table = _TABLE_PARSE.get(argv[0]) if argv else None
+    if table is None or not len(argv) % 2:
+        return None
+    options, defaults, required = table
+    values = defaults.copy()
+    given = set()
+    for index in range(1, len(argv), 2):
+        option = options.get(argv[index])
+        value = argv[index + 1]
+        if option is None or value[:1] == "-":
+            return None
+        if option.type is not None:
+            try:
+                value = option.type(value)
+            except (TypeError, ValueError):
+                return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        if option.append:
+            value = [*(values[option.dest] or ()), value]
+        values[option.dest] = value
+        given.add(option.flag)
+    if not required <= given:
+        return None
+    return SimpleNamespace(**values, command=argv[0])
 
 
-def _add_convention(parser: argparse.ArgumentParser, default: str | None) -> None:
-    parser.add_argument("--convention", choices=sorted(_CONVENTIONS), default=default)
-
-
-def _add_max_nodes(
-    parser: argparse.ArgumentParser, default: int = DEFAULT_NODE_CAP
-) -> None:
-    parser.add_argument("--max-nodes", type=int, default=default, dest="max_nodes")
-
-
-def _spec_from_args(args: argparse.Namespace) -> NetworkSpec:
+def _spec_from_args(args: SimpleNamespace) -> NetworkSpec:
     family = Family(args.family)
     if family is Family.HYPERCUBE:
         if args.cube_nodes is None:
@@ -177,19 +286,21 @@ def _cube_bits(spec: NetworkSpec, cube: int) -> str:
     return format(cube, f"0{width}b")
 
 
-def _cmd_metrics(args: argparse.Namespace) -> str:
+def _cmd_metrics(args: SimpleNamespace) -> str:
     spec = _spec_from_args(args)
     convention = _CONVENTIONS[args.convention]
+    if not (spec.has_torus_part and (spec.rows < 3 or spec.cols < 3)):
+        return _render(metrics_report(spec, convention).to_json_dict(), args.format)
+    # Only a ring of fewer than 3 nodes makes the closed link count warn;
+    # the note below says the same on stdout.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ClosedFormApproximationWarning)
         report = metrics_report(spec, convention)
-    notes = []
-    if spec.has_torus_part and (spec.rows < 3 or spec.cols < 3):
-        notes.append(
-            f"note: links counts coincident ring links twice; the simple "
-            f"graph has {link_count_simple(spec)}"
-        )
-    return _render(report.to_json_dict(), args.format, notes)
+    note = (
+        f"note: links counts coincident ring links twice; the simple "
+        f"graph has {link_count_simple(spec)}"
+    )
+    return _render(report.to_json_dict(), args.format, [note])
 
 
 def _route_text(path: RoutePath) -> str:
@@ -206,7 +317,7 @@ def _route_text(path: RoutePath) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_route(args: argparse.Namespace) -> str:
+def _cmd_route(args: SimpleNamespace) -> str:
     spec = _spec_from_args(args)
     expected = "must be three comma-separated integers"
     src = NodeAddress(*_parse_triple(args.src, f"--from {expected}"))
@@ -237,7 +348,7 @@ _COMPARISON_RENDERERS = {
 }
 
 
-def _cmd_table(args: argparse.Namespace) -> str:
+def _cmd_table(args: SimpleNamespace) -> str:
     if args.convention is not None and args.id != 2:
         raise _UsageError(f"table --id {args.id} does not take --convention")
     if args.id == 3:
@@ -249,7 +360,7 @@ def _cmd_table(args: argparse.Namespace) -> str:
     return _COMPARISON_RENDERERS[args.format](rows)
 
 
-def _cmd_reliability(args: argparse.Namespace) -> str:
+def _cmd_reliability(args: SimpleNamespace) -> str:
     if args.f_max < 1:
         raise _UsageError(f"--f-max must be >= 1, got {args.f_max}")
     if args.f_max > F_MAX_LIMIT:
@@ -262,7 +373,7 @@ def _cmd_reliability(args: argparse.Namespace) -> str:
     return _render_reliability(specs, rows, args.format, {"f_max": args.f_max})
 
 
-def _cmd_simulate(args: argparse.Namespace) -> str:
+def _cmd_simulate(args: SimpleNamespace) -> str:
     spec = _spec_from_args(args)
     estimate = monte_carlo_connectivity(
         spec, args.failures, args.trials, args.seed, node_cap=args.max_nodes
@@ -280,13 +391,13 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
     return _render(record, args.format)
 
 
-def _cmd_export(args: argparse.Namespace) -> str:
+def _cmd_export(args: SimpleNamespace) -> str:
     spec = _spec_from_args(args)
     topology = build_graph(spec, node_cap=args.max_nodes)
     return export_topology(topology, args.export_format).decode()
 
 
-def _cmd_scale(args: argparse.Namespace) -> str:
+def _cmd_scale(args: SimpleNamespace) -> str:
     if args.steps < 1:
         raise _UsageError("--steps must be >= 1")
     spec = _spec_from_args(args)
@@ -320,7 +431,7 @@ def _cmd_scale(args: argparse.Namespace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_self_check(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_self_check(args: SimpleNamespace) -> tuple[str, int]:
     data_dir = Path(args.data_dir) if args.data_dir else None
     results = self_check(max_nodes=args.max_nodes, data_dir=data_dir)
     lines = []
@@ -335,10 +446,11 @@ def _cmd_self_check(args: argparse.Namespace) -> tuple[str, int]:
 
 
 @functools.cache
-def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
-    """The parsers of this process, built on the first :func:`run`: the
-    top-level parser, and the map from each command word (aliases
-    included) to that command's parser.
+def _build_parser() -> tuple:
+    """The argparse parsers of this process, built from
+    :data:`_COMMAND_TABLE` the first time :func:`run` meets an argv that
+    :func:`_parse_table` declines: the top-level parser, and the map from
+    each command word (aliases included) to that command's parser.
 
     :func:`run` parses an argv that starts with a command word by that
     command's parser alone.  Every other argv (empty, ``--help``, an
@@ -348,68 +460,36 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     Reuse is safe: each ``parse_args`` fills a fresh namespace, and
     ``--spec`` appends to a new list because its default is ``None``.
     """
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message: str) -> None:  # type: ignore[override]
+            raise _UsageError(message)
+
+        def print_help(self, file: IO[str] | None = None) -> None:
+            # --help calls this, then exits; run writes the text to out instead.
+            raise _HelpRequested(self.format_help())
+
+        def _get_formatter(self) -> argparse.HelpFormatter:
+            # Help wraps as on an 80-column terminal, whatever the real one is.
+            return self.formatter_class(prog=self.prog, width=78)
+
     parser = _Parser(prog="tehnet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_metrics = sub.add_parser("metrics", help="closed-form network metrics")
-    _add_spec_arguments(p_metrics)
-    _add_format(p_metrics)
-    _add_convention(p_metrics, "exact")
-
-    p_route = sub.add_parser("route", help="deterministic shortest path")
-    _add_spec_arguments(p_route)
-    _add_format(p_route)
-    _add_max_nodes(p_route)
-    p_route.add_argument("--from", dest="src", required=True, help="source i,j,k")
-    p_route.add_argument("--to", dest="dst", required=True, help="destination i,j,k")
-
-    p_table = sub.add_parser("table", help="comparison tables 1-3")
-    p_table.add_argument("--id", type=int, choices=[1, 2, 3], required=True)
-    _add_format(p_table)
-    _add_convention(p_table, None)
-
-    p_rel = sub.add_parser("reliability", help="reliability grid")
-    p_rel.add_argument("--f-max", type=int, dest="f_max", default=9)
-    p_rel.add_argument(
-        "--spec",
-        action="append",
-        dest="specs",
-        metavar="L,M,N",
-        help="repeatable; defaults to the (4,4,8..64) series",
-    )
-    _add_format(p_rel)
-
-    p_sim = sub.add_parser("simulate", help="exact incident-link fault connectivity")
-    _add_spec_arguments(p_sim)
-    _add_format(p_sim)
-    _add_max_nodes(p_sim)
-    p_sim.add_argument("--f", type=int, dest="failures", required=True)
-    p_sim.add_argument("--trials", type=int, default=1000)
-    p_sim.add_argument("--seed", type=int, default=0)
-
-    p_export = sub.add_parser("export", help="write the explicit topology")
-    _add_spec_arguments(p_export)
-    p_export.add_argument(
-        "--format",
-        choices=["dot", "csv", "json"],
-        default="csv",
-        dest="export_format",
-    )
-    _add_max_nodes(p_export)
-
-    p_scale = sub.add_parser("scale", help="scale-up sequences")
-    _add_spec_arguments(p_scale)
-    _add_format(p_scale)
-    _add_max_nodes(p_scale)
-    p_scale.add_argument("--mode", choices=["torus", "hypercube"], required=True)
-    p_scale.add_argument("--steps", type=int, required=True)
-
-    p_check = sub.add_parser(
-        "self-check", aliases=["self_check"], help="run the built-in oracle suite"
-    )
-    _add_max_nodes(p_check, 512)
-    p_check.add_argument("--data-dir", dest="data_dir", help=argparse.SUPPRESS)
-
+    for name, (help_line, aliases, options) in _COMMAND_TABLE.items():
+        command = sub.add_parser(name, aliases=aliases, help=help_line)
+        for option in options:
+            command.add_argument(
+                option.flag,
+                action="append" if option.append else "store",
+                dest=option.dest,
+                type=option.type,
+                choices=option.choices,
+                default=option.default,
+                required=option.required,
+                help=argparse.SUPPRESS if option.help is _SUPPRESS else option.help,
+                metavar=option.metavar,
+            )
     return parser, sub.choices
 
 
@@ -432,21 +512,24 @@ def run(
     """Parse ``argv`` (``sys.argv[1:]`` when None), run one command, and
     return the exit code.
 
-    When the first word names a command, the rest goes straight to that
-    command's parser, which the top-level parser would hand it to after
-    a scan of its own; any other ``argv`` goes to the top-level parser.
+    :func:`_parse_table` parses a canonical ``argv`` without argparse.
+    Any other ``argv`` goes to argparse: when its first word names a
+    command, the rest goes straight to that command's parser, which the
+    top-level parser would hand it to after a scan of its own; the rest
+    goes to the top-level parser.
     """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands = _build_parser()
     try:
-        command = commands.get(argv[0]) if argv else None
-        if command is None:
-            args = parser.parse_args(argv)
-        else:
-            args = command.parse_args(argv[1:])
-            args.command = argv[0]
+        args = _parse_table(argv)
+        if args is None:
+            parser, commands = _build_parser()
+            command = commands.get(argv[0]) if argv else None
+            if command is None:
+                args = parser.parse_args(argv, SimpleNamespace())
+            else:
+                args = command.parse_args(argv[1:], SimpleNamespace(command=argv[0]))
         if args.command in ("self-check", "self_check"):
             text, code = _cmd_self_check(args)
             out.write(text)

@@ -6,15 +6,18 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from bruteforce import adjacency_by_enumeration, bfs_dist
-from tehnet import build_graph, decode_address, selfcheck, teh_spec
+from strategies import cli_argvs
+from tehnet import build_graph, cli, decode_address, selfcheck, teh_spec
 from tehnet.reliability import antipodal_node
-from tehnet.cli import _build_parser, run
+from tehnet.cli import _build_parser, _parse_table, run
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 CLI_GOLDEN_DIR = GOLDEN_DIR / "cli"
@@ -629,8 +632,11 @@ class TestParserReuse:
         assert in_sequence[3] == (0, default_grid, "")
 
     def test_import_builds_no_parser(self):
+        """Neither the import nor a canonical argv builds an argparse parser;
+        the first help or usage error builds the tree once, and later ones
+        reuse it."""
         script = (
-            "import argparse, io\n"
+            "import argparse, io, json, sys\n"
             "built = []\n"
             "init = argparse.ArgumentParser.__init__\n"
             "def spy(self, *args, **kwargs):\n"
@@ -639,18 +645,117 @@ class TestParserReuse:
             "argparse.ArgumentParser.__init__ = spy\n"
             "import tehnet.cli\n"
             "counts = [len(built)]\n"
-            "for _ in range(2):\n"
-            "    tehnet.cli.run(['table', '--id', '1'], io.StringIO(), io.StringIO())\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    tehnet.cli.run(argv, io.StringIO(), io.StringIO())\n"
             "    counts.append(len(built))\n"
             "print(*counts)\n"
         )
+        argvs = [
+            ["table", "--id", "1"],
+            _VALID_ARGV["route"],
+            ["metrics", "--help"],
+            ["table", "--id", "4"],
+            ["--help"],
+            ["table", "--id", "1"],
+        ]
         result = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+            [sys.executable, "-c", script, json.dumps(argvs)],
+            capture_output=True,
+            text=True,
+            timeout=60,
         )
         assert result.returncode == 0, result.stderr
-        at_import, first_run, second_run = map(int, result.stdout.split())
+        at_import, *after_each = map(int, result.stdout.split())
         assert at_import == 0
-        assert first_run == second_run > 0
+        assert after_each[:2] == [0, 0]
+        tree = after_each[2]
+        assert tree > 0
+        assert after_each[2:] == [tree] * 4
+
+
+def argparse_vars(argv):
+    """vars() of the namespace the top-level argparse parser gives ``argv``,
+    or None when it prints help or raises a usage error."""
+    parser, _ = _build_parser()
+    try:
+        return vars(parser.parse_args(argv))
+    except (cli._UsageError, cli._HelpRequested):
+        return None
+
+
+def assert_parses_as_argparse(argv):
+    table = _parse_table(argv)
+    assert table is None or vars(table) == argparse_vars(argv), argv
+    return table
+
+
+class TestTableParser:
+    """The table parser returns None or argparse's namespace, ``command``
+    included, for every argv."""
+
+    SWEEP = json.loads((CLI_GOLDEN_DIR / "sweep.json").read_text())
+
+    def test_golden_argv(self):
+        argvs = [argv.split() for argv in self.SWEEP]
+        argvs += [case["argv"] for case in DISPATCH_CASES]
+        assert len(argvs) == 128 + 17
+        parsed = [argv for argv in argvs if assert_parses_as_argparse(argv)]
+        # All but --help, usage errors of argparse and other spellings: the
+        # sweep's "--f -1" and every dispatch argv but its "--from 4,0,0".
+        assert len(parsed) == 108 + 1
+
+    @given(cli_argvs())
+    @settings(max_examples=400, deadline=None)
+    def test_drawn_argv(self, argv):
+        assert_parses_as_argparse(argv)
+
+    def test_canonical_sweep_argv_needs_no_argparse(self, monkeypatch):
+        """Every sweep argv that argparse parses and whose values do not
+        start with "-" gives its pinned bytes with argparse out of reach, so
+        a table that declines them fails here."""
+        canonical = [
+            argv
+            for argv in self.SWEEP
+            if argparse_vars(argv.split())
+            and not any(value.startswith("-") for value in argv.split()[2::2])
+        ]
+        assert len(canonical) == 108
+
+        def refuse():
+            raise AssertionError("argparse parsed a canonical argv")
+
+        monkeypatch.setattr(cli, "_build_parser", refuse)
+        for argv in canonical:
+            result = json.dumps(list(invoke(*argv.split()))).encode()
+            assert hashlib.sha256(result).hexdigest() == self.SWEEP[argv], argv
+
+    def test_hidden_help_is_argparse_suppress(self):
+        import argparse
+
+        assert cli._SUPPRESS == argparse.SUPPRESS
+
+
+class TestMetricsWarnings:
+    def test_rings_of_three_or_more_enter_no_warnings_block(self, monkeypatch):
+        def refuse():
+            raise AssertionError("catch_warnings entered")
+
+        monkeypatch.setattr(cli.warnings, "catch_warnings", refuse)
+        argv = (*_CLI_GOLDEN_CASES["metrics_teh_4_6_8"], "--format", "text")
+        code, out, err = invoke(*argv)
+        assert (code, err) == (0, "")
+        assert out == (CLI_GOLDEN_DIR / "metrics_teh_4_6_8.txt").read_text()
+
+    def test_small_ring_prints_its_note_and_lets_no_warning_escape(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = invoke(
+                "metrics", "--family", "teh", "--l", "2", "--m", "2", "--cube", "8",
+                "--format", "text",
+            )
+        assert (code, err, caught) == (0, "", [])
+        assert out == (CLI_GOLDEN_DIR / "metrics_teh_2_2_8.txt").read_text()
+        assert "note: links counts coincident ring links twice" in out
 
 
 class TestEntryPoint:

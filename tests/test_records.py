@@ -1,6 +1,7 @@
 """The record classes: repr, equality, hash, immutability, and what
 importing the package loads."""
 
+import hashlib
 import json
 import pkgutil
 import subprocess
@@ -174,7 +175,10 @@ __import__(sys.argv[2])
 print(json.dumps(sorted(sys.modules)))
 """
 #: Heavy standard modules no import of the package may load.
-_NOT_LOADED = {"dataclasses", "inspect", "hashlib", "fractions", "decimal", "numbers"}
+_NOT_LOADED = {
+    "dataclasses", "inspect", "hashlib", "fractions", "decimal", "numbers",
+    "argparse", "gettext",
+}
 _LIBRARY = {
     f"tehnet.{module.name}"
     for module in pkgutil.iter_modules(tehnet.__path__)
@@ -205,11 +209,13 @@ _COMMAND_PROBE = """
 import io, json, sys
 sys.path.insert(0, sys.argv[1])
 import tehnet.cli
-codes = [
-    tehnet.cli.run(argv.split(), out=io.StringIO(), err=io.StringIO())
-    for argv in json.loads(sys.argv[2])
-]
-print(json.dumps([codes, "fractions" in sys.modules]))
+results = []
+for argv in json.loads(sys.argv[2]):
+    out, err = io.StringIO(), io.StringIO()
+    code = tehnet.cli.run(argv.split(), out=out, err=err)
+    results.append([code, out.getvalue(), err.getvalue()])
+watched = {"fractions", "argparse", "gettext"}
+print(json.dumps([results, sorted(watched & set(sys.modules))]))
 """
 #: One command of each kind, the reliability grid in every format.
 _COMMANDS = [
@@ -227,19 +233,35 @@ _COMMANDS = [
 ]
 
 
-def test_commands_do_not_load_fractions():
-    # The percentages are integer arithmetic, so no command pays for
-    # importing fractions and decimal; no timing is asserted here.
+def _probe(commands):
+    """[exit code, stdout, stderr] of each command, run in one fresh
+    process, and which of fractions, argparse and gettext it loaded."""
     result = subprocess.run(
-        [sys.executable, "-I", "-c", _COMMAND_PROBE, str(_SRC), json.dumps(_COMMANDS)],
+        [sys.executable, "-I", "-c", _COMMAND_PROBE, str(_SRC), json.dumps(commands)],
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    codes, loaded_fractions = json.loads(result.stdout)
-    assert codes == [0] * len(_COMMANDS)
-    assert not loaded_fractions
+    return json.loads(result.stdout)
+
+
+def test_commands_do_not_load_fractions():
+    # The percentages are integer arithmetic, so no command pays for
+    # importing fractions and decimal; a canonical argv is parsed without
+    # argparse, and so without gettext.  No timing is asserted here.
+    results, loaded = _probe(_COMMANDS)
+    assert [code for code, _, _ in results] == [0] * len(_COMMANDS)
+    assert loaded == []
+
+
+def test_help_loads_argparse_and_prints_its_pinned_bytes():
+    results, loaded = _probe(["--help"])
+    sweep_file = Path(__file__).parent / "golden" / "cli" / "sweep.json"
+    sweep = json.loads(sweep_file.read_text())
+    digest = hashlib.sha256(json.dumps(results[0]).encode()).hexdigest()
+    assert digest == sweep["--help"]
+    assert loaded == ["argparse", "gettext"]
 
 
 #: The public names of ``tehnet`` 0.2.0, sorted; its submodules are left out.
