@@ -17,7 +17,12 @@ from types import SimpleNamespace
 from typing import IO, Callable, NamedTuple, Sequence
 
 from .errors import ClosedFormApproximationWarning, ResourceLimitError, TehnetError
-from .metrics import DiameterConvention, link_count_simple, metrics_report
+from .metrics import (
+    DiameterConvention,
+    link_count_simple,
+    metrics_report,
+    simple_degree,
+)
 from .reliability import ReliabilityRow, monte_carlo_connectivity, reliability_table
 from .routing import Path as RoutePath
 from .routing import route
@@ -64,155 +69,9 @@ class _UsageError(Exception):
     pass
 
 
-class _HelpRequested(Exception):
-    """Carries the help text of ``--help`` back to :func:`run`."""
-
-
-class _Option(NamedTuple):
-    """One ``--flag value`` option of a command, as argparse is told it."""
-
-    flag: str
-    dest: str
-    type: Callable[[str], object] | None = None
-    choices: tuple | None = None
-    default: object = None
-    required: bool = False
-    help: str | None = None
-    metavar: str | None = None
-    append: bool = False
-
-
-#: The help of an option left out of ``--help``; it stands for
-#: ``argparse.SUPPRESS``, which argparse tests by identity.
-_SUPPRESS = "==SUPPRESS=="
-
-_SPEC_OPTIONS = (
-    _Option(
-        "--family", "family", choices=tuple(f.value for f in Family), required=True
-    ),
-    _Option("--l", "rows", int, help="torus rows"),
-    _Option("--m", "cols", int, help="torus columns"),
-    _Option("--cube", "cube_nodes", int, help="hypercube node count"),
-)
-_FORMAT = _Option("--format", "format", choices=("csv", "json", "text"), default="text")
-_MAX_NODES = _Option("--max-nodes", "max_nodes", int, default=DEFAULT_NODE_CAP)
-_CONVENTION = _Option("--convention", "convention", choices=tuple(sorted(_CONVENTIONS)))
-
-
-#: Each command's help line, its aliases, and its options in ``--help`` order.
-_COMMAND_TABLE: dict[str, tuple[str, tuple[str, ...], tuple[_Option, ...]]] = {
-    "metrics": (
-        "closed-form network metrics", (),
-        (*_SPEC_OPTIONS, _FORMAT, _CONVENTION._replace(default="exact")),
-    ),
-    "route": (
-        "deterministic shortest path", (),
-        (
-            *_SPEC_OPTIONS, _FORMAT, _MAX_NODES,
-            _Option("--from", "src", required=True, help="source i,j,k"),
-            _Option("--to", "dst", required=True, help="destination i,j,k"),
-        ),
-    ),
-    "table": (
-        "comparison tables 1-3", (),
-        (
-            _Option("--id", "id", int, choices=(1, 2, 3), required=True),
-            _FORMAT,
-            _CONVENTION,
-        ),
-    ),
-    "reliability": (
-        "reliability grid", (),
-        (
-            _Option("--f-max", "f_max", int, default=9),
-            _Option("--spec", "specs", metavar="L,M,N", append=True,
-                    help="repeatable; defaults to the (4,4,8..64) series"),
-            _FORMAT,
-        ),
-    ),
-    "simulate": (
-        "exact incident-link fault connectivity", (),
-        (
-            *_SPEC_OPTIONS, _FORMAT, _MAX_NODES,
-            _Option("--f", "failures", int, required=True),
-            _Option("--trials", "trials", int, default=1000),
-            _Option("--seed", "seed", int, default=0),
-        ),
-    ),
-    "export": (
-        "write the explicit topology", (),
-        (
-            *_SPEC_OPTIONS,
-            _Option("--format", "export_format", choices=("dot", "csv", "json"),
-                    default="csv"),
-            _MAX_NODES,
-        ),
-    ),
-    "scale": (
-        "scale-up sequences", (),
-        (
-            *_SPEC_OPTIONS, _FORMAT, _MAX_NODES,
-            _Option("--mode", "mode", choices=("torus", "hypercube"), required=True),
-            _Option("--steps", "steps", int, required=True),
-        ),
-    ),
-    "self-check": (
-        "run the built-in oracle suite", ("self_check",),
-        (
-            _MAX_NODES._replace(default=512),
-            _Option("--data-dir", "data_dir", help=_SUPPRESS),
-        ),
-    ),
-}
-
-#: Each command word, aliases included, to its options by flag, its
-#: defaults by dest, and the flags it requires.
-_TABLE_PARSE = {
-    word: (
-        {option.flag: option for option in options},
-        {option.dest: option.default for option in options},
-        {option.flag for option in options if option.required},
-    )
-    for name, (_, aliases, options) in _COMMAND_TABLE.items()
-    for word in (name, *aliases)
-}
-
-
-def _parse_table(argv: list[str]) -> SimpleNamespace | None:
-    """The namespace argparse would give ``argv`` when ``argv`` is a command
-    word and then exact ``--option value`` pairs of that command, each value
-    not starting with ``-``, converting and in its choices, with every
-    required option given; None for any other ``argv``.
-
-    This is the route of every canonical argv.  What it declines (help,
-    usage errors, abbreviated or ``--opt=value`` spellings, ``--``) goes
-    to argparse, which prints the help or words the error.
-    """
-    table = _TABLE_PARSE.get(argv[0]) if argv else None
-    if table is None or not len(argv) % 2:
-        return None
-    options, defaults, required = table
-    values = defaults.copy()
-    given = set()
-    for index in range(1, len(argv), 2):
-        option = options.get(argv[index])
-        value = argv[index + 1]
-        if option is None or value[:1] == "-":
-            return None
-        if option.type is not None:
-            try:
-                value = option.type(value)
-            except (TypeError, ValueError):
-                return None
-        if option.choices is not None and value not in option.choices:
-            return None
-        if option.append:
-            value = [*(values[option.dest] or ()), value]
-        values[option.dest] = value
-        given.add(option.flag)
-    if not required <= given:
-        return None
-    return SimpleNamespace(**values, command=argv[0])
+class _Exit(Exception):
+    """``_Exit(text, code)`` ends :func:`run` with ``text`` on stdout and
+    exit code ``code``; ``--help`` and a failed self-check raise it."""
 
 
 def _spec_from_args(args: SimpleNamespace) -> NetworkSpec:
@@ -289,10 +148,10 @@ def _cube_bits(spec: NetworkSpec, cube: int) -> str:
 def _cmd_metrics(args: SimpleNamespace) -> str:
     spec = _spec_from_args(args)
     convention = _CONVENTIONS[args.convention]
-    if not (spec.has_torus_part and (spec.rows < 3 or spec.cols < 3)):
+    if simple_degree(spec) == spec.nominal_degree:
         return _render(metrics_report(spec, convention).to_json_dict(), args.format)
-    # Only a ring of fewer than 3 nodes makes the closed link count warn;
-    # the note below says the same on stdout.
+    # A ring of fewer than 3 nodes: the closed link count warns, and the
+    # note below says the same on stdout.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ClosedFormApproximationWarning)
         report = metrics_report(spec, convention)
@@ -431,7 +290,7 @@ def _cmd_scale(args: SimpleNamespace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_self_check(args: SimpleNamespace) -> tuple[str, int]:
+def _cmd_self_check(args: SimpleNamespace) -> str:
     data_dir = Path(args.data_dir) if args.data_dir else None
     results = self_check(max_nodes=args.max_nodes, data_dir=data_dir)
     lines = []
@@ -442,20 +301,178 @@ def _cmd_self_check(args: SimpleNamespace) -> tuple[str, int]:
             lines.append(f"FAIL  {result.group}: {result.detail}")
     failed = sum(not result.passed for result in results)
     lines.append(f"{len(results) - failed}/{len(results)} groups passed")
-    return "\n".join(lines) + "\n", EXIT_OK if failed == 0 else EXIT_USAGE
+    text = "\n".join(lines) + "\n"
+    if failed:
+        raise _Exit(text, EXIT_USAGE)
+    return text
+
+
+class _Option(NamedTuple):
+    """One ``--flag value`` option of a command, as argparse is told it."""
+
+    flag: str
+    dest: str
+    type: Callable[[str], object] | None = None
+    choices: tuple | None = None
+    default: object = None
+    required: bool = False
+    help: str | None = None
+    metavar: str | None = None
+    append: bool = False
+
+
+#: The help of an option left out of ``--help``; it stands for
+#: ``argparse.SUPPRESS``, which argparse tests by identity.
+_SUPPRESS = "==SUPPRESS=="
+
+_SPEC_OPTIONS = (
+    _Option(
+        "--family", "family", choices=tuple(f.value for f in Family), required=True
+    ),
+    _Option("--l", "rows", int, help="torus rows"),
+    _Option("--m", "cols", int, help="torus columns"),
+    _Option("--cube", "cube_nodes", int, help="hypercube node count"),
+)
+_FORMAT = _Option("--format", "format", choices=("csv", "json", "text"), default="text")
+_MAX_NODES = _Option("--max-nodes", "max_nodes", int, default=DEFAULT_NODE_CAP)
+_CONVENTION = _Option("--convention", "convention", choices=tuple(sorted(_CONVENTIONS)))
+
+
+#: Each command's help line, its aliases, its options in ``--help`` order,
+#: and its handler, which returns the command's stdout.
+_COMMAND_TABLE: dict[
+    str, tuple[str, tuple[str, ...], tuple[_Option, ...], Callable[..., str]]
+] = {
+    "metrics": (
+        "closed-form network metrics", (),
+        (*_SPEC_OPTIONS, _FORMAT, _CONVENTION._replace(default="exact")),
+        _cmd_metrics,
+    ),
+    "route": (
+        "deterministic shortest path", (),
+        (
+            *_SPEC_OPTIONS, _FORMAT, _MAX_NODES,
+            _Option("--from", "src", required=True, help="source i,j,k"),
+            _Option("--to", "dst", required=True, help="destination i,j,k"),
+        ),
+        _cmd_route,
+    ),
+    "table": (
+        "comparison tables 1-3", (),
+        (
+            _Option("--id", "id", int, choices=(1, 2, 3), required=True),
+            _FORMAT,
+            _CONVENTION,
+        ),
+        _cmd_table,
+    ),
+    "reliability": (
+        "reliability grid", (),
+        (
+            _Option("--f-max", "f_max", int, default=9),
+            _Option("--spec", "specs", metavar="L,M,N", append=True,
+                    help="repeatable; defaults to the (4,4,8..64) series"),
+            _FORMAT,
+        ),
+        _cmd_reliability,
+    ),
+    "simulate": (
+        "exact incident-link fault connectivity", (),
+        (
+            *_SPEC_OPTIONS, _FORMAT, _MAX_NODES,
+            _Option("--f", "failures", int, required=True),
+            _Option("--trials", "trials", int, default=1000),
+            _Option("--seed", "seed", int, default=0),
+        ),
+        _cmd_simulate,
+    ),
+    "export": (
+        "write the explicit topology", (),
+        (
+            *_SPEC_OPTIONS,
+            _Option("--format", "export_format", choices=("dot", "csv", "json"),
+                    default="csv"),
+            _MAX_NODES,
+        ),
+        _cmd_export,
+    ),
+    "scale": (
+        "scale-up sequences", (),
+        (
+            *_SPEC_OPTIONS, _FORMAT, _MAX_NODES,
+            _Option("--mode", "mode", choices=("torus", "hypercube"), required=True),
+            _Option("--steps", "steps", int, required=True),
+        ),
+        _cmd_scale,
+    ),
+    "self-check": (
+        "run the built-in oracle suite", ("self_check",),
+        (
+            _MAX_NODES._replace(default=512),
+            _Option("--data-dir", "data_dir", help=_SUPPRESS),
+        ),
+        _cmd_self_check,
+    ),
+}
+
+#: Each command word, aliases included, to its handler, its options by
+#: flag, its defaults by dest, and the flags it requires.
+_TABLE_PARSE = {
+    word: (
+        handler,
+        {option.flag: option for option in options},
+        {option.dest: option.default for option in options},
+        {option.flag for option in options if option.required},
+    )
+    for name, (_, aliases, options, handler) in _COMMAND_TABLE.items()
+    for word in (name, *aliases)
+}
+
+
+def _parse_table(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse would give ``argv`` when ``argv`` is a command
+    word and then exact ``--option value`` pairs of that command, each value
+    not starting with ``-``, converting and in its choices, with every
+    required option given; None for any other ``argv``.
+
+    This is the route of every canonical argv, read from the command's
+    :data:`_COMMAND_TABLE` entry alone.  What it declines (help, usage
+    errors, abbreviated or ``--opt=value`` spellings, ``--``) goes whole to
+    the argparse parser of :func:`_build_parser`, built from the same
+    entries, which parses it, prints the help or words the error.
+    """
+    table = _TABLE_PARSE.get(argv[0]) if argv else None
+    if table is None or not len(argv) % 2:
+        return None
+    _, options, defaults, required = table
+    values = defaults.copy()
+    given = set()
+    for index in range(1, len(argv), 2):
+        option = options.get(argv[index])
+        value = argv[index + 1]
+        if option is None or value[:1] == "-":
+            return None
+        if option.type is not None:
+            try:
+                value = option.type(value)
+            except (TypeError, ValueError):
+                return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        if option.append:
+            value = [*(values[option.dest] or ()), value]
+        values[option.dest] = value
+        given.add(option.flag)
+    if not required <= given:
+        return None
+    return SimpleNamespace(**values, command=argv[0])
 
 
 @functools.cache
-def _build_parser() -> tuple:
-    """The argparse parsers of this process, built from
-    :data:`_COMMAND_TABLE` the first time :func:`run` meets an argv that
-    :func:`_parse_table` declines: the top-level parser, and the map from
-    each command word (aliases included) to that command's parser.
-
-    :func:`run` parses an argv that starts with a command word by that
-    command's parser alone.  Every other argv (empty, ``--help``, an
-    unknown word, an option before the command) goes to the top-level
-    parser, which therefore only prints its help or raises a usage error.
+def _build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of this process, built from every
+    :data:`_COMMAND_TABLE` entry the first time :func:`run` meets an argv
+    that :func:`_parse_table` declines.
 
     Reuse is safe: each ``parse_args`` fills a fresh namespace, and
     ``--spec`` appends to a new list because its default is ``None``.
@@ -468,7 +485,7 @@ def _build_parser() -> tuple:
 
         def print_help(self, file: IO[str] | None = None) -> None:
             # --help calls this, then exits; run writes the text to out instead.
-            raise _HelpRequested(self.format_help())
+            raise _Exit(self.format_help(), EXIT_OK)
 
         def _get_formatter(self) -> argparse.HelpFormatter:
             # Help wraps as on an 80-column terminal, whatever the real one is.
@@ -476,7 +493,7 @@ def _build_parser() -> tuple:
 
     parser = _Parser(prog="tehnet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, aliases, options) in _COMMAND_TABLE.items():
+    for name, (help_line, aliases, options, _) in _COMMAND_TABLE.items():
         command = sub.add_parser(name, aliases=aliases, help=help_line)
         for option in options:
             command.add_argument(
@@ -490,18 +507,7 @@ def _build_parser() -> tuple:
                 help=argparse.SUPPRESS if option.help is _SUPPRESS else option.help,
                 metavar=option.metavar,
             )
-    return parser, sub.choices
-
-
-_HANDLERS = {
-    "metrics": _cmd_metrics,
-    "route": _cmd_route,
-    "table": _cmd_table,
-    "reliability": _cmd_reliability,
-    "simulate": _cmd_simulate,
-    "export": _cmd_export,
-    "scale": _cmd_scale,
-}
+    return parser
 
 
 def run(
@@ -512,11 +518,11 @@ def run(
     """Parse ``argv`` (``sys.argv[1:]`` when None), run one command, and
     return the exit code.
 
-    :func:`_parse_table` parses a canonical ``argv`` without argparse.
-    Any other ``argv`` goes to argparse: when its first word names a
-    command, the rest goes straight to that command's parser, which the
-    top-level parser would hand it to after a scan of its own; the rest
-    goes to the top-level parser.
+    A command is one :data:`_COMMAND_TABLE` entry: help line, aliases,
+    options and handler.  :func:`_parse_table` parses a canonical ``argv``
+    from it; any other ``argv`` goes to argparse.  Either way the
+    command's handler then returns its stdout, or raises :class:`_Exit`
+    with it when a self-check group fails.
     """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
@@ -524,20 +530,12 @@ def run(
     try:
         args = _parse_table(argv)
         if args is None:
-            parser, commands = _build_parser()
-            command = commands.get(argv[0]) if argv else None
-            if command is None:
-                args = parser.parse_args(argv, SimpleNamespace())
-            else:
-                args = command.parse_args(argv[1:], SimpleNamespace(command=argv[0]))
-        if args.command in ("self-check", "self_check"):
-            text, code = _cmd_self_check(args)
-            out.write(text)
-            return code
-        text = _HANDLERS[args.command](args)
-    except _HelpRequested as exc:
-        out.write(str(exc))
-        return EXIT_OK
+            args = _build_parser().parse_args(argv, SimpleNamespace())
+        text = _TABLE_PARSE[args.command][0](args)
+    except _Exit as exc:
+        text, code = exc.args
+        out.write(text)
+        return code
     except _UsageError as exc:
         err.write(f"usage error: {exc}\n")
         return EXIT_USAGE

@@ -58,8 +58,15 @@ class MetricsReport(NamedTuple):
         }
 
 
+def simple_degree(spec: NetworkSpec) -> int:
+    """Degree of every node in the simple graph: a ring of s nodes gives
+    min(s - 1, 2) distinct neighbours, the cube one per bit.  Below
+    ``spec.nominal_degree`` exactly when a ring has fewer than 3 nodes."""
+    return min(spec.rows - 1, 2) + min(spec.cols - 1, 2) + spec.cube_dim
+
+
 def _warn_if_approximate(spec: NetworkSpec) -> None:
-    if spec.has_torus_part and (spec.rows < 3 or spec.cols < 3):
+    if simple_degree(spec) != spec.nominal_degree:
         warnings.warn(
             f"closed-form link count for {spec.label()} counts coincident "
             f"ring links twice; the simple graph has {link_count_simple(spec)} "
@@ -84,24 +91,13 @@ def link_count_closed(spec: NetworkSpec) -> int:
     return _closed_links(spec)
 
 
-def _ring_edges(size: int) -> int:
-    # A ring of s >= 3 nodes has s edges, a 2-ring has the single edge,
-    # a 1-ring has none.
-    if size >= 3:
-        return size
-    return 1 if size == 2 else 0
-
-
 def link_count_simple(spec: NetworkSpec) -> int:
     """Edge count of the de-duplicated simple graph, in closed form.
 
     Matches ``len(build_graph(spec).edges)`` for every spec; equals
     :func:`link_count_closed` whenever rows, cols >= 3 or absent.
     """
-    cube_edges = spec.node_count * spec.cube_dim // 2
-    row_ring_edges = spec.rows * spec.cube_nodes * _ring_edges(spec.cols)
-    col_ring_edges = spec.cols * spec.cube_nodes * _ring_edges(spec.rows)
-    return cube_edges + row_ring_edges + col_ring_edges
+    return spec.node_count * simple_degree(spec) // 2
 
 
 def diameter_closed(spec: NetworkSpec) -> int:

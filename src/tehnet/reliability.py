@@ -21,6 +21,7 @@ import random
 from typing import NamedTuple
 
 from .errors import CountOutOfRangeError, SpecError, TooManyFaultsError
+from .metrics import simple_degree
 from .topology import (
     DEFAULT_NODE_CAP,
     NetworkSpec,
@@ -192,8 +193,7 @@ def monte_carlo_connectivity(
     if failures < 0:
         raise CountOutOfRangeError(f"failure count must be >= 0, got {failures}")
     _check_node_cap(spec, node_cap)
-    # A ring of s nodes gives min(s - 1, 2) distinct neighbours.
-    degree = min(spec.rows - 1, 2) + min(spec.cols - 1, 2) + spec.cube_dim
+    degree = simple_degree(spec)
     if failures > degree:
         raise TooManyFaultsError(
             f"asked for {failures} failed incident links, node 0 has {degree}"

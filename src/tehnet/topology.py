@@ -99,10 +99,6 @@ class NetworkSpec(NamedTuple):
             return 4
         return 4 + self.cube_dim
 
-    @property
-    def has_torus_part(self) -> bool:
-        return self.family is not Family.HYPERCUBE
-
     def label(self) -> str:
         """Human-readable dimension triple, e.g. ``(4, 4, 8)``."""
         return f"({self.rows}, {self.cols}, {self.cube_nodes})"

@@ -552,10 +552,6 @@ class TestSelfCheck:
 #: command, options before a command, a word that is not one, ``--``,
 #: abbreviated and ``=`` options, trailing extras, and addresses out of range.
 DISPATCH_CASES = json.loads((CLI_GOLDEN_DIR / "dispatch.json").read_text())
-COMMAND_WORDS = {
-    "metrics", "route", "table", "reliability", "simulate", "export", "scale",
-    "self-check", "self_check",
-}
 
 
 class TestDispatch:
@@ -564,24 +560,6 @@ class TestDispatch:
     )
     def test_pinned_bytes(self, case):
         assert invoke(*case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
-
-    def test_command_words_skip_the_top_level_parser(self, monkeypatch):
-        """Every sweep argv that starts with a command word gives its pinned
-        bytes without a call to the top-level parser."""
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("the top-level parser parsed a command")
-
-        parser, _ = _build_parser()
-        monkeypatch.setattr(parser, "parse_args", refuse)
-        sweep = json.loads((CLI_GOLDEN_DIR / "sweep.json").read_text())
-        direct = [argv for argv in sweep if argv and argv.split()[0] in COMMAND_WORDS]
-        assert len(direct) == len(sweep) - 3  # all but "", "bogus", "--help"
-        for argv in direct:
-            result = json.dumps(list(invoke(*argv.split()))).encode()
-            assert hashlib.sha256(result).hexdigest() == sweep[argv], argv
-        with pytest.raises(AssertionError, match="top-level parser"):
-            invoke("--help")
 
     @pytest.mark.parametrize(
         "argv,expected",
@@ -676,10 +654,9 @@ class TestParserReuse:
 def argparse_vars(argv):
     """vars() of the namespace the top-level argparse parser gives ``argv``,
     or None when it prints help or raises a usage error."""
-    parser, _ = _build_parser()
     try:
-        return vars(parser.parse_args(argv))
-    except (cli._UsageError, cli._HelpRequested):
+        return vars(_build_parser().parse_args(argv))
+    except (cli._UsageError, cli._Exit):
         return None
 
 
@@ -728,6 +705,30 @@ class TestTableParser:
         for argv in canonical:
             result = json.dumps(list(invoke(*argv.split()))).encode()
             assert hashlib.sha256(result).hexdigest() == self.SWEEP[argv], argv
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(_VALID_ARGV[name] for name in ("metrics", "route", "table",
+                                             "simulate", "scale")),
+            ("reliability", "--f-max", "3", "--format", "csv"),
+            ("export", *_TEH_4_4_8, "--format", "dot"),
+            ("self-check", "--max-nodes", "128"),
+            ("self_check", "--max-nodes", "128"),
+            # Exits 1 with the FAIL report (TestSelfCheck pins it).
+            ("self_check", "--max-nodes", "8"),
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_both_routes_reach_one_handler(self, argv):
+        """A canonical argv and its ``--flag=value`` spelling, which only
+        argparse accepts, give the same (exit, stdout, stderr)."""
+        spelled = [argv[0]] + [
+            f"{flag}={value}" for flag, value in zip(argv[1::2], argv[2::2])
+        ]
+        assert _parse_table(list(argv)) is not None
+        assert _parse_table(spelled) is None
+        assert invoke(*spelled) == invoke(*argv)
 
     def test_hidden_help_is_argparse_suppress(self):
         import argparse

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from bruteforce import adjacency_by_enumeration, all_pairs_diameter, edge_count
-from strategies import small_specs
+from strategies import SMALL_SPEC_IDS, SMALL_SPECS, small_specs
 from tehnet import (
     ClosedFormApproximationWarning,
     DiameterConvention,
@@ -25,6 +25,7 @@ from tehnet import (
     torus_spec,
 )
 from tehnet.cli import run
+from tehnet.metrics import simple_degree
 
 
 def metrics_output(fmt, *spec_args):
@@ -52,6 +53,11 @@ class TestLinkCount:
         oracle = adjacency_by_enumeration(spec.rows, spec.cols, spec.cube_nodes)
         assert link_count_simple(spec) == edge_count(oracle)
         assert link_count_simple(spec) == len(build_graph(spec).edges)
+
+    @pytest.mark.parametrize("spec", SMALL_SPECS, ids=SMALL_SPEC_IDS)
+    def test_simple_degree_is_every_nodes_degree(self, spec):
+        degrees = set(map(len, build_graph(spec).adjacency))
+        assert degrees == {simple_degree(spec)}
 
     def test_closed_equals_simple_for_big_rings(self):
         for dims in [(3, 3, 1), (3, 4, 2), (5, 5, 8), (4, 6, 4)]:

@@ -27,22 +27,30 @@ def run_script(name, *args):
     )
 
 
+#: Each file generate_tables.py writes but table3_reliability.json, and the
+#: shipped file or golden it must equal byte for byte.
+_GENERATED = {
+    **{f"{name}.csv": DATA_DIR / f"{name}.csv"
+       for name in ("table1_links", "table2_cost", "table3_reliability")},
+    "table1_links.txt": GOLDEN_DIR / "table1.txt",
+    "table1_links.json": GOLDEN_DIR / "cli" / "table1.json",
+    "table2_cost.txt": GOLDEN_DIR / "table2.txt",
+    "table2_cost.json": GOLDEN_DIR / "cli" / "table2.json",
+    "table2_cost_exact.txt": GOLDEN_DIR / "cli" / "table2_exact.txt",
+    "table2_cost_exact.csv": GOLDEN_DIR / "cli" / "table2_exact.csv",
+    "table3_reliability.txt": GOLDEN_DIR / "table3.txt",
+    "figure_links_vs_p.csv": GOLDEN_DIR / "figure_links_vs_p.csv",
+    "figure_cost_vs_p.csv": GOLDEN_DIR / "figure_cost_vs_p.csv",
+}
+
+
 def test_generate_tables_reproduces_shipped_tables(tmp_path):
     result = run_script("generate_tables.py", "--out-dir", str(tmp_path))
     assert result.returncode == 0, result.stderr
-    for name in ("table1_links", "table2_cost", "table3_reliability"):
-        assert (tmp_path / f"{name}.csv").read_bytes() == (
-            DATA_DIR / f"{name}.csv"
-        ).read_bytes()
-    assert (tmp_path / "table1_links.txt").read_bytes() == (
-        GOLDEN_DIR / "table1.txt"
-    ).read_bytes()
-    assert (tmp_path / "table3_reliability.txt").read_bytes() == (
-        GOLDEN_DIR / "table3.txt"
-    ).read_bytes()
-    assert (tmp_path / "table2_cost_exact.txt").read_bytes() == (
-        GOLDEN_DIR / "cli" / "table2_exact.txt"
-    ).read_bytes()
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == sorted([*_GENERATED, "table3_reliability.json"])
+    for name, expected in _GENERATED.items():
+        assert (tmp_path / name).read_bytes() == expected.read_bytes(), name
     table3_json = io.StringIO()
     assert run(["table", "--id", "3", "--format", "json"], table3_json) == 0
     assert (tmp_path / "table3_reliability.json").read_text() == table3_json.getvalue()
