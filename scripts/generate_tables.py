@@ -10,8 +10,11 @@ no-op diff.
 import argparse
 from pathlib import Path
 
-from tehnet import DiameterConvention, FigureKind, figure_data
+from tehnet import DiameterConvention, reliability_table
 from tehnet.tables import (
+    NETWORK_KEYS,
+    TABLE3_F_MAX,
+    TABLE3_SPECS,
     render_comparison_csv,
     render_comparison_json,
     render_comparison_text,
@@ -20,15 +23,16 @@ from tehnet.tables import (
     render_reliability_text,
     table1_rows,
     table2_rows,
-    table3_grid,
 )
 
 
-def figure_csv(kind: FigureKind, convention=DiameterConvention.SQUARE_APPROX) -> str:
+def figure_csv(rows) -> str:
+    """Long-form (network, processors, value) lines for external plotting."""
     lines = ["network,processors,value"]
     lines.extend(
-        f"{point.network},{point.processors},{point.value}"
-        for point in figure_data(kind, convention)
+        f"{key},{row.processors},{row.values[key]}"
+        for key in NETWORK_KEYS
+        for row in rows
     )
     return "\n".join(lines) + "\n"
 
@@ -40,8 +44,8 @@ def main() -> None:
     out: Path = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
 
-    grid = table3_grid()
-    specs, rows3 = list(grid.specs), list(grid.rows)
+    specs = list(TABLE3_SPECS)
+    rows3 = reliability_table(specs, TABLE3_F_MAX)
     exact = table2_rows(DiameterConvention.EXACT)
     outputs = {
         "table1_links.csv": render_comparison_csv(table1_rows()),
@@ -55,8 +59,8 @@ def main() -> None:
         "table3_reliability.csv": render_reliability_csv(specs, rows3),
         "table3_reliability.json": render_reliability_json(specs, rows3),
         "table3_reliability.txt": render_reliability_text(specs, rows3),
-        "figure_links_vs_p.csv": figure_csv(FigureKind.LINKS_VS_P),
-        "figure_cost_vs_p.csv": figure_csv(FigureKind.COST_VS_P),
+        "figure_links_vs_p.csv": figure_csv(table1_rows()),
+        "figure_cost_vs_p.csv": figure_csv(table2_rows()),
     }
     for name, text in outputs.items():
         (out / name).write_text(text)

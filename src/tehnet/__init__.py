@@ -25,7 +25,6 @@ from .metrics import (
     link_count_simple,
     metrics_report,
     square_torus_diameter,
-    topological_cost,
 )
 from .reliability import (
     FaultScenario,
@@ -50,16 +49,11 @@ from .routing import (
 from .selfcheck import CheckResult, self_check
 from .tables import (
     ComparisonRow,
-    FigureKind,
-    FigurePoint,
-    ReliabilityGrid,
     ScalingMode,
     ScalingStep,
-    figure_data,
     scaling_sequence,
     table1_rows,
     table2_rows,
-    table3_grid,
 )
 from .topology import (
     DEFAULT_NODE_CAP,
@@ -77,4 +71,4 @@ from .topology import (
     validate_spec,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

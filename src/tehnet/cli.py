@@ -12,7 +12,6 @@ import functools
 import json
 import sys
 import warnings
-from pathlib import Path
 from types import SimpleNamespace
 from typing import IO, Callable, NamedTuple, Sequence
 
@@ -24,10 +23,11 @@ from .metrics import (
     simple_degree,
 )
 from .reliability import ReliabilityRow, monte_carlo_connectivity, reliability_table
-from .routing import Path as RoutePath
-from .routing import route
+from .routing import Path, route
 from .selfcheck import self_check
 from .tables import (
+    TABLE3_F_MAX,
+    TABLE3_SPECS,
     ScalingMode,
     render_comparison_csv,
     render_comparison_json,
@@ -38,7 +38,6 @@ from .tables import (
     scaling_sequence,
     table1_rows,
     table2_rows,
-    table3_grid,
 )
 from .topology import (
     DEFAULT_NODE_CAP,
@@ -162,7 +161,7 @@ def _cmd_metrics(args: SimpleNamespace) -> str:
     return _render(report.to_json_dict(), args.format, [note])
 
 
-def _route_text(path: RoutePath) -> str:
+def _route_text(path: Path) -> str:
     spec = path.spec
     lines = [
         f"route {spec.label()}: {path.hops[0]} -> {path.hops[-1]} "
@@ -211,8 +210,9 @@ def _cmd_table(args: SimpleNamespace) -> str:
     if args.convention is not None and args.id != 2:
         raise _UsageError(f"table --id {args.id} does not take --convention")
     if args.id == 3:
-        grid = table3_grid()
-        return _render_reliability(list(grid.specs), list(grid.rows), args.format, {})
+        specs = list(TABLE3_SPECS)
+        rows = reliability_table(specs, TABLE3_F_MAX)
+        return _render_reliability(specs, rows, args.format, {})
     # Square is the default because the reference tables quote it.
     convention = _CONVENTIONS[args.convention or "square"]
     rows = table1_rows() if args.id == 1 else table2_rows(convention)
@@ -291,8 +291,7 @@ def _cmd_scale(args: SimpleNamespace) -> str:
 
 
 def _cmd_self_check(args: SimpleNamespace) -> str:
-    data_dir = Path(args.data_dir) if args.data_dir else None
-    results = self_check(max_nodes=args.max_nodes, data_dir=data_dir)
+    results = self_check(max_nodes=args.max_nodes)
     lines = []
     for result in results:
         if result.passed:
@@ -320,10 +319,6 @@ class _Option(NamedTuple):
     metavar: str | None = None
     append: bool = False
 
-
-#: The help of an option left out of ``--help``; it stands for
-#: ``argparse.SUPPRESS``, which argparse tests by identity.
-_SUPPRESS = "==SUPPRESS=="
 
 _SPEC_OPTIONS = (
     _Option(
@@ -407,10 +402,7 @@ _COMMAND_TABLE: dict[
     ),
     "self-check": (
         "run the built-in oracle suite", ("self_check",),
-        (
-            _MAX_NODES._replace(default=512),
-            _Option("--data-dir", "data_dir", help=_SUPPRESS),
-        ),
+        (_MAX_NODES._replace(default=512),),
         _cmd_self_check,
     ),
 }
@@ -504,7 +496,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 choices=option.choices,
                 default=option.default,
                 required=option.required,
-                help=argparse.SUPPRESS if option.help is _SUPPRESS else option.help,
+                help=option.help,
                 metavar=option.metavar,
             )
     return parser

@@ -134,17 +134,11 @@ def diameter_bfs(topology: Topology) -> int:
     return max(topology.distances(0))
 
 
-def topological_cost(
-    spec: NetworkSpec, convention: DiameterConvention = DiameterConvention.EXACT
-) -> int:
-    """Links times diameter, under the selected diameter convention."""
-    return link_count_closed(spec) * _convention_diameter(spec, convention)
-
-
 def metrics_report(
     spec: NetworkSpec, convention: DiameterConvention = DiameterConvention.EXACT
 ) -> MetricsReport:
     """Bundle degree, links, diameter, and cost; cost = links * diameter."""
+    convention = DiameterConvention(convention)
     links = link_count_closed(spec)
     diameter = _convention_diameter(spec, convention)
     return MetricsReport(

@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import importlib.resources
 from itertools import combinations, product
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .metrics import (
@@ -37,15 +36,17 @@ from .reliability import (
     antipodal_node,
     monte_carlo_connectivity,
     reliability_percent,
+    reliability_table,
     unreliability_percent,
 )
 from .routing import distance_closed, route
 from .tables import (
+    TABLE3_F_MAX,
+    TABLE3_SPECS,
     render_comparison_csv,
     render_reliability_csv,
     table1_rows,
     table2_rows,
-    table3_grid,
 )
 from .topology import NetworkSpec, Topology, build_graph, decode_address, teh_spec
 
@@ -160,23 +161,20 @@ def _check_routing(build: _Build) -> str:
     return ""
 
 
-def _golden_text(name: str, data_dir: Path | None) -> str:
-    if data_dir is not None:
-        return (data_dir / GOLDEN_FILES[name]).read_text()
+def _golden_text(name: str) -> str:
     resource = importlib.resources.files("tehnet").joinpath("data", GOLDEN_FILES[name])
     return resource.read_text()
 
 
-def _check_tables(data_dir: Path | None) -> str:
-    grid = table3_grid()
+def _check_tables() -> str:
+    specs = list(TABLE3_SPECS)
     rendered = {
         "table1": render_comparison_csv(table1_rows()),
         "table2": render_comparison_csv(table2_rows()),
-        "table3": render_reliability_csv(list(grid.specs), list(grid.rows)),
+        "table3": render_reliability_csv(specs, reliability_table(specs, TABLE3_F_MAX)),
     }
     for name, text in rendered.items():
-        golden = _golden_text(name, data_dir)
-        if text != golden:
+        if text != _golden_text(name):
             return f"{name} does not match its golden file"
     return ""
 
@@ -225,7 +223,7 @@ def _check_monte_carlo(build: _Build) -> str:
     return ""
 
 
-def self_check(max_nodes: int = 512, data_dir: Path | None = None) -> list[CheckResult]:
+def self_check(max_nodes: int = 512) -> list[CheckResult]:
     """Run every check group and return one result per group.
 
     Args:
@@ -233,8 +231,6 @@ def self_check(max_nodes: int = 512, data_dir: Path | None = None) -> list[Check
             diameter oracle grids only.  The vertex-transitivity,
             routing and monte-carlo groups always build their fixed
             specs of 16 to 48 nodes.
-        data_dir: Override directory for the golden table files
-            (defaults to the files shipped inside the package).
     """
     # Groups share specs, so each graph is built once and dropped on return.
     build = functools.cache(build_graph)
@@ -243,7 +239,7 @@ def self_check(max_nodes: int = 512, data_dir: Path | None = None) -> list[Check
         ("links-closed-form", lambda: _check_links(build, max_nodes)),
         ("diameter-closed-form", lambda: _check_diameter(build, max_nodes)),
         ("routing", lambda: _check_routing(build)),
-        ("tables", lambda: _check_tables(data_dir)),
+        ("tables", lambda: _check_tables()),
         ("reliability-model", lambda: _check_reliability()),
         ("monte-carlo", lambda: _check_monte_carlo(build)),
     ]

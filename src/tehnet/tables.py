@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .errors import ResourceLimitError, SpecError
 from .metrics import DiameterConvention, square_torus_diameter
-from .reliability import ReliabilityRow, reliability_table
+from .reliability import ReliabilityRow
 from .topology import (
     DEFAULT_NODE_CAP,
     Family,
@@ -71,9 +71,6 @@ class ComparisonRow(NamedTuple):
 
     def __hash__(self) -> int:
         return hash((self.processors, self.teh_16_16_cube_nodes, self.flagged))
-
-    def value(self, network: str) -> int:
-        return self.values[network]
 
 
 def _nearest_even_root(node_count: int) -> int:
@@ -122,6 +119,7 @@ def table2_rows(
     convention substitutes near-square power-of-two torus factorizations
     and flags every cell that changes.
     """
+    convention = DiameterConvention(convention)
     rows = []
     for links_row in table1_rows():
         processors = links_row.processors
@@ -159,19 +157,6 @@ def table2_rows(
             )
         )
     return rows
-
-
-class ReliabilityGrid(NamedTuple):
-    specs: tuple[NetworkSpec, ...]
-    rows: tuple[ReliabilityRow, ...]
-
-
-def table3_grid() -> ReliabilityGrid:
-    """The reliability grid over the (4, 4, 8..64) series, f = 1..9."""
-    return ReliabilityGrid(
-        specs=TABLE3_SPECS,
-        rows=tuple(reliability_table(list(TABLE3_SPECS), TABLE3_F_MAX)),
-    )
 
 
 class ScalingMode(str, Enum):
@@ -241,37 +226,6 @@ def scaling_sequence(
     return out
 
 
-class FigureKind(str, Enum):
-    LINKS_VS_P = "links"
-    COST_VS_P = "cost"
-
-
-class FigurePoint(NamedTuple):
-    network: str
-    processors: int
-    value: int
-
-
-def figure_data(
-    figure: FigureKind,
-    convention: DiameterConvention = DiameterConvention.SQUARE_APPROX,
-) -> list[FigurePoint]:
-    """Long-form (network, processors, value) points for external plotting.
-
-    Values are row-for-row identical to the corresponding table rows.
-    """
-    figure = FigureKind(figure)
-    if figure is FigureKind.LINKS_VS_P:
-        rows = table1_rows()
-    else:
-        rows = table2_rows(convention)
-    return [
-        FigurePoint(network=key, processors=row.processors, value=row.value(key))
-        for key in NETWORK_KEYS
-        for row in rows
-    ]
-
-
 def _aligned(table: list[list[str]], left: int) -> list[str]:
     """Cells two spaces apart, each column as wide as its widest cell; the
     first ``left`` columns are left-justified, the rest right-justified."""
@@ -294,14 +248,14 @@ def render_comparison_csv(rows: list[ComparisonRow]) -> str:
     header = ",".join(["network"] + [str(row.processors) for row in rows])
     lines = [header]
     for key in NETWORK_KEYS:
-        lines.append(",".join([key] + [str(row.value(key)) for row in rows]))
+        lines.append(",".join([key] + [str(row.values[key]) for row in rows]))
     return "\n".join(lines) + "\n"
 
 
 def render_comparison_json(rows: list[ComparisonRow]) -> str:
     doc = {
         "processors": [row.processors for row in rows],
-        "networks": {key: [row.value(key) for row in rows] for key in NETWORK_KEYS},
+        "networks": {key: [row.values[key] for row in rows] for key in NETWORK_KEYS},
         "teh_16_16_cube_nodes": [row.teh_16_16_cube_nodes for row in rows],
         "flagged": sorted(
             [key, row.processors] for row in rows for key in row.flagged
@@ -327,7 +281,7 @@ def render_comparison_text(rows: list[ComparisonRow]) -> str:
     flagged cells carry a ``*`` with a footnote."""
 
     def cell(row: ComparisonRow, key: str) -> str:
-        text = str(row.value(key))
+        text = str(row.values[key])
         if key == "teh_16_16_N":
             text += f" N={row.teh_16_16_cube_nodes}"
         if key in row.flagged:

@@ -26,6 +26,7 @@ from .errors import (
     NonPositiveDimensionError,
     NotPowerOfTwoError,
     ResourceLimitError,
+    SpecError,
     UnsupportedFormatError,
 )
 
@@ -117,12 +118,20 @@ def validate_spec(
             the pure torus family.
 
     Raises:
+        SpecError: If any dimension is not an integer.
         NonPositiveDimensionError: If any dimension is below 1.
         NotPowerOfTwoError: If cube_nodes is not a power of two.
         FamilyMismatchError: If a dimension is fixed by the family but
             not 1.
     """
     family = Family(family)
+    if not (
+        isinstance(rows, int) and isinstance(cols, int) and isinstance(cube_nodes, int)
+    ):
+        raise SpecError(
+            f"dimensions must be integers, got rows={rows!r} cols={cols!r} "
+            f"cube_nodes={cube_nodes!r}"
+        )
     if rows < 1 or cols < 1 or cube_nodes < 1:
         raise NonPositiveDimensionError(
             f"dimensions must be >= 1, got rows={rows} cols={cols} "
@@ -220,17 +229,15 @@ class Topology(_TopologyFields):
             adj[dst].append(src)
         return tuple(map(tuple, adj))
 
-    def distances(self, source: int, goal: int = -1) -> list[int]:
+    def distances(self, source: int) -> list[int]:
         """Hop counts from ``source`` by breadth-first search over
-        :attr:`adjacency`, -1 for nodes it does not reach.  Given a
-        ``goal``, the search stops after the level that reaches it, so
-        nodes farther away than ``goal`` may read -1."""
+        :attr:`adjacency`, -1 for nodes it does not reach."""
         adjacency = self.adjacency
         dist = [-1] * len(adjacency)
         dist[source] = 0
         frontier = [source]
         hops = 0
-        while frontier and (goal < 0 or dist[goal] < 0):
+        while frontier:
             hops += 1
             next_frontier = []
             for node in frontier:

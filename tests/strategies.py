@@ -78,7 +78,7 @@ CLI_OPTIONS = {
         **_SPEC_OPTIONS, "--format": _FORMATS, "--max-nodes": _INTS,
         "--mode": ("torus", "hypercube"), "--steps": ("1", "4"),
     },
-    "self-check": {"--max-nodes": _INTS, "--data-dir": ("data",)},
+    "self-check": {"--max-nodes": _INTS},
 }
 CLI_OPTIONS["self_check"] = CLI_OPTIONS["self-check"]
 _ALL_FLAGS = sorted({flag for options in CLI_OPTIONS.values() for flag in options})

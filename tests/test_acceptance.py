@@ -57,7 +57,7 @@ def test_table1_reproduction():
     checked = 0
     for column, row in enumerate(rows):
         for key, cells in LINK_CELLS.items():
-            assert row.value(key) == cells[column], (key, row.processors)
+            assert row.values[key] == cells[column], (key, row.processors)
             checked += 1
     assert checked == 24
     print("PASS table-1 links: 24/24 cells exact")
@@ -69,7 +69,7 @@ def test_table2_reproduction():
     checked = 0
     for column, row in enumerate(rows):
         for key, cells in COST_CELLS.items():
-            assert row.value(key) == cells[column], (key, row.processors)
+            assert row.values[key] == cells[column], (key, row.processors)
             checked += 1
     assert checked == 24
     print("PASS table-2 cost: 24/24 cells exact")

@@ -3,7 +3,6 @@
 import hashlib
 import io
 import json
-import shutil
 import subprocess
 import sys
 import warnings
@@ -21,7 +20,6 @@ from tehnet.cli import _build_parser, _parse_table, run
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 CLI_GOLDEN_DIR = GOLDEN_DIR / "cli"
-DATA_DIR = Path(__file__).parents[1] / "src" / "tehnet" / "data"
 
 _TEH_4_4_16 = ("--family", "teh", "--l", "4", "--m", "4", "--cube", "16")
 _CLI_GOLDEN_CASES = {
@@ -86,6 +84,7 @@ _VALID_ARGV = {
     "reliability": ("reliability",),
     "simulate": ("simulate", *_TEH_4_4_8, "--f", "1", "--trials", "5"),
     "scale": ("scale", *_TEH_4_4_8, "--mode", "torus", "--steps", "2"),
+    "self-check": ("self-check", "--max-nodes", "128"),
 }
 
 
@@ -102,6 +101,7 @@ class TestExitCodes:
             ("reliability", "--max-nodes", "1"),
             ("table --id 1", "--convention", "exact"),
             ("table --id 3", "--convention", "square"),
+            ("self-check", "--data-dir", "x"),
         ],
     )
     def test_option_the_command_does_not_read(self, command, flag, value):
@@ -393,16 +393,18 @@ class TestSelfCheck:
         code, out, _ = invoke("self_check", "--max-nodes", "128")
         assert code == 0
 
-    def test_fails_on_corrupted_golden_data(self, tmp_path):
-        for name in DATA_DIR.iterdir():
-            shutil.copy(name, tmp_path / name.name)
-        corrupted = tmp_path / "table2_cost.csv"
-        corrupted.write_text(corrupted.read_text().replace("20736", "20737"))
-        code, out, _ = invoke(
-            "self-check", "--max-nodes", "128", "--data-dir", str(tmp_path)
-        )
-        assert code != 0
-        assert "FAIL  tables" in out
+    def test_fails_on_corrupted_golden_data(self, monkeypatch):
+        golden_text = selfcheck._golden_text
+
+        def corrupted(name):
+            text = golden_text(name)
+            return text.replace("20736", "20737") if name == "table2" else text
+
+        monkeypatch.setattr(selfcheck, "_golden_text", corrupted)
+        code, out, _ = invoke("self-check", "--max-nodes", "128")
+        assert code == 1
+        assert "FAIL  tables: table2 does not match its golden file" in out
+        assert out.count("PASS") == 6
 
     def test_monte_carlo_group_fails_on_a_wrong_closed_form(self, monkeypatch):
         monkeypatch.setattr(selfcheck, "monte_carlo_connectivity", lambda *a: 1.0)
@@ -729,11 +731,6 @@ class TestTableParser:
         assert _parse_table(list(argv)) is not None
         assert _parse_table(spelled) is None
         assert invoke(*spelled) == invoke(*argv)
-
-    def test_hidden_help_is_argparse_suppress(self):
-        import argparse
-
-        assert cli._SUPPRESS == argparse.SUPPRESS
 
 
 class TestMetricsWarnings:

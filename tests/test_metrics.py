@@ -21,7 +21,6 @@ from tehnet import (
     metrics_report,
     square_torus_diameter,
     teh_spec,
-    topological_cost,
     torus_spec,
 )
 from tehnet.cli import run
@@ -141,7 +140,17 @@ class TestCost:
         ],
     )
     def test_reference_values(self, spec, convention, expected):
-        assert topological_cost(spec, convention) == expected
+        assert metrics_report(spec, convention).cost == expected
+
+    @pytest.mark.parametrize("convention", list(DiameterConvention))
+    @pytest.mark.parametrize(
+        "spec", [teh_spec(4, 6, 8), torus_spec(16, 32), hypercube_spec(512)]
+    )
+    def test_string_convention_equals_its_enum(self, spec, convention):
+        report = metrics_report(spec, convention.value)
+        assert report.convention is convention
+        assert report == metrics_report(spec, convention)
+        assert report.to_json_dict() == metrics_report(spec, convention).to_json_dict()
 
     def test_cost_is_links_times_diameter(self):
         for dims in [(3, 3, 4), (4, 4, 8), (16, 16, 4)]:

@@ -323,4 +323,4 @@ class TestBfsDistance:
             dst = decode_address(spec, goal)
             expected = distance_closed(spec, src, dst)
             assert route(spec, src, dst).length == expected
-            assert topology.distances(source, goal)[goal] == expected
+            assert topology.distances(source)[goal] == expected

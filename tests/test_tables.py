@@ -7,20 +7,20 @@ import pytest
 
 from tehnet import (
     DiameterConvention,
-    FigureKind,
     ResourceLimitError,
     ScalingMode,
-    figure_data,
+    reliability_table,
     scaling_sequence,
     table1_rows,
     table2_rows,
-    table3_grid,
     teh_spec,
     torus_spec,
 )
 from tehnet.tables import (
     NETWORK_KEYS,
     PROCESSOR_COUNTS,
+    TABLE3_F_MAX,
+    TABLE3_SPECS,
     render_comparison_csv,
     render_comparison_json,
     render_comparison_text,
@@ -52,7 +52,7 @@ class TestLinkTable:
         assert [row.processors for row in rows] == list(PROCESSOR_COUNTS)
         for column, row in enumerate(rows):
             for key in NETWORK_KEYS:
-                assert row.value(key) == LINK_CELLS[key][column]
+                assert row.values[key] == LINK_CELLS[key][column]
 
     def test_growing_cube_annotation(self):
         assert [row.teh_16_16_cube_nodes for row in table1_rows()] == [
@@ -64,7 +64,7 @@ class TestCostTable:
     def test_every_cell_square_convention(self):
         for column, row in enumerate(table2_rows()):
             for key in NETWORK_KEYS:
-                assert row.value(key) == COST_CELLS[key][column]
+                assert row.values[key] == COST_CELLS[key][column]
 
     def test_square_convention_has_no_flags(self):
         assert all(row.flagged == frozenset() for row in table2_rows())
@@ -85,30 +85,33 @@ class TestCostTable:
         for column, row in enumerate(table2_rows(DiameterConvention.EXACT)):
             for key in NETWORK_KEYS:
                 if key not in row.flagged:
-                    assert row.value(key) == COST_CELLS[key][column]
+                    assert row.values[key] == COST_CELLS[key][column]
+
+    @pytest.mark.parametrize("convention", list(DiameterConvention))
+    def test_string_convention_equals_its_enum(self, convention):
+        assert table2_rows(convention.value) == table2_rows(convention)
 
     def test_exact_convention_uses_rectangular_diameters(self):
         rows = table2_rows(DiameterConvention.EXACT)
         # 512-processor torus as 16x32: 2*512 links times diameter 8+16.
-        assert rows[0].value("torus") == 1024 * 24
+        assert rows[0].values["torus"] == 1024 * 24
 
 
 class TestReliabilityGrid:
     def test_reference_cells(self):
-        grid = table3_grid()
+        rows = reliability_table(list(TABLE3_SPECS), TABLE3_F_MAX)
         cells = {
             (row.failures, spec.label()): cell
-            for row in grid.rows
-            for spec, cell in zip(grid.specs, row.cells)
+            for row in rows
+            for spec, cell in zip(TABLE3_SPECS, row.cells)
         }
         assert cells[(6, "(4, 4, 32)")] == 33.3
         assert cells[(8, "(4, 4, 8)")] is None
         assert cells[(7, "(4, 4, 16)")] == 12.5
 
     def test_zero_diagonal(self):
-        grid = table3_grid()
-        degrees = [spec.nominal_degree for spec in grid.specs]
-        for row in grid.rows:
+        degrees = [spec.nominal_degree for spec in TABLE3_SPECS]
+        for row in reliability_table(list(TABLE3_SPECS), TABLE3_F_MAX):
             for degree, cell in zip(degrees, row.cells):
                 if row.failures == degree:
                     assert cell == 0.0
@@ -168,30 +171,6 @@ class TestScalingSequence:
         lines = out.getvalue().splitlines()
         assert lines[0].startswith("step,mode,family")
         assert lines[1] == "1,torus,teh,4,8,16,512,8,false"
-
-
-class TestFigureData:
-    def test_links_points(self):
-        points = figure_data(FigureKind.LINKS_VS_P)
-        assert len(points) == 24
-        by_key = {(p.network, p.processors): p.value for p in points}
-        assert by_key[("teh_lm_16", 1024)] == 4096
-
-    def test_cost_points(self):
-        by_key = {
-            (p.network, p.processors): p.value
-            for p in figure_data(FigureKind.COST_VS_P)
-        }
-        assert by_key[("torus", 16384)] == 4194304
-
-    def test_rows_match_tables_exactly(self):
-        links = figure_data(FigureKind.LINKS_VS_P)
-        costs = figure_data(FigureKind.COST_VS_P)
-        for key in NETWORK_KEYS:
-            link_values = [p.value for p in links if p.network == key]
-            cost_values = [p.value for p in costs if p.network == key]
-            assert link_values == [row.value(key) for row in table1_rows()]
-            assert cost_values == [row.value(key) for row in table2_rows()]
 
 
 class TestRendering:

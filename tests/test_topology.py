@@ -16,6 +16,7 @@ from tehnet import (
     NonPositiveDimensionError,
     NotPowerOfTwoError,
     ResourceLimitError,
+    SpecError,
     Topology,
     UnsupportedFormatError,
     build_graph,
@@ -49,6 +50,14 @@ class TestValidateSpec:
     def test_nonpositive_dimensions(self, dims):
         with pytest.raises(NonPositiveDimensionError):
             teh_spec(*dims)
+
+    @pytest.mark.parametrize(
+        "dims", [(4.5, 4, 8), (4.0, 4, 8), ("4", 4, 8), (4, None, 8), (4, 4, 8.0)]
+    )
+    def test_non_integer_dimensions(self, dims):
+        # A typed error before any comparison or graph work.
+        with pytest.raises(SpecError, match="dimensions must be integers"):
+            validate_spec("teh", *dims)
 
     def test_family_constraints(self):
         with pytest.raises(FamilyMismatchError):
@@ -171,12 +180,6 @@ class TestBuildGraph:
         topology = Topology(spec=torus_spec(1, 5), edges=((0, 1, "x"), (1, 2, "x")))
         assert topology.distances(0) == [0, 1, 2, -1, -1]
         assert topology.distances(3) == [-1, -1, -1, 0, -1]
-
-    def test_distances_stop_at_the_goal(self):
-        topology = build_graph(torus_spec(1, 9))
-        assert topology.distances(0) == [0, 1, 2, 3, 4, 4, 3, 2, 1]
-        assert topology.distances(0, goal=2) == [0, 1, 2, -1, -1, -1, -1, 2, 1]
-        assert topology.distances(0, goal=0) == [0, -1, -1, -1, -1, -1, -1, -1, -1]
 
     @given(small_specs(max_rows=4, max_cols=4, cube_sizes=(1, 2, 4, 8)), st.data())
     def test_vertex_transitivity(self, spec, data):
