@@ -15,12 +15,9 @@ from tehnet.tables import (
     NETWORK_KEYS,
     TABLE3_F_MAX,
     TABLE3_SPECS,
-    render_comparison_csv,
-    render_comparison_json,
-    render_comparison_text,
-    render_reliability_csv,
-    render_reliability_json,
-    render_reliability_text,
+    comparison_output,
+    reliability_output,
+    render,
     table1_rows,
     table2_rows,
 )
@@ -28,13 +25,11 @@ from tehnet.tables import (
 
 def figure_csv(rows) -> str:
     """Long-form (network, processors, value) lines for external plotting."""
-    lines = ["network,processors,value"]
-    lines.extend(
-        f"{key},{row.processors},{row.values[key]}"
-        for key in NETWORK_KEYS
-        for row in rows
-    )
-    return "\n".join(lines) + "\n"
+    table = [("network", "processors", "value")]
+    table += [
+        (key, row.processors, row.values[key]) for key in NETWORK_KEYS for row in rows
+    ]
+    return render("csv", None, table, ())
 
 
 def main() -> None:
@@ -48,17 +43,17 @@ def main() -> None:
     rows3 = reliability_table(specs, TABLE3_F_MAX)
     exact = table2_rows(DiameterConvention.EXACT)
     outputs = {
-        "table1_links.csv": render_comparison_csv(table1_rows()),
-        "table1_links.json": render_comparison_json(table1_rows()),
-        "table1_links.txt": render_comparison_text(table1_rows()),
-        "table2_cost.csv": render_comparison_csv(table2_rows()),
-        "table2_cost.json": render_comparison_json(table2_rows()),
-        "table2_cost.txt": render_comparison_text(table2_rows()),
-        "table2_cost_exact.csv": render_comparison_csv(exact),
-        "table2_cost_exact.txt": render_comparison_text(exact),
-        "table3_reliability.csv": render_reliability_csv(specs, rows3),
-        "table3_reliability.json": render_reliability_json(specs, rows3),
-        "table3_reliability.txt": render_reliability_text(specs, rows3),
+        "table1_links.csv": render("csv", *comparison_output(table1_rows())),
+        "table1_links.json": render("json", *comparison_output(table1_rows())),
+        "table1_links.txt": render("text", *comparison_output(table1_rows())),
+        "table2_cost.csv": render("csv", *comparison_output(table2_rows())),
+        "table2_cost.json": render("json", *comparison_output(table2_rows())),
+        "table2_cost.txt": render("text", *comparison_output(table2_rows())),
+        "table2_cost_exact.csv": render("csv", *comparison_output(exact)),
+        "table2_cost_exact.txt": render("text", *comparison_output(exact)),
+        "table3_reliability.csv": render("csv", *reliability_output(specs, rows3)),
+        "table3_reliability.json": render("json", *reliability_output(specs, rows3)),
+        "table3_reliability.txt": render("text", *reliability_output(specs, rows3)),
         "figure_links_vs_p.csv": figure_csv(table1_rows()),
         "figure_cost_vs_p.csv": figure_csv(table2_rows()),
     }

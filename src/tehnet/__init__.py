@@ -71,4 +71,4 @@ from .topology import (
     validate_spec,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -9,11 +9,10 @@ self-check, 2 domain error, 3 resource limit.
 from __future__ import annotations
 
 import functools
-import json
 import sys
 import warnings
 from types import SimpleNamespace
-from typing import IO, Callable, NamedTuple, Sequence
+from typing import IO, Callable, Iterator, NamedTuple, Sequence
 
 from .errors import ClosedFormApproximationWarning, ResourceLimitError, TehnetError
 from .metrics import (
@@ -22,19 +21,16 @@ from .metrics import (
     metrics_report,
     simple_degree,
 )
-from .reliability import ReliabilityRow, monte_carlo_connectivity, reliability_table
+from .reliability import monte_carlo_connectivity, reliability_table
 from .routing import Path, route
 from .selfcheck import self_check
 from .tables import (
     TABLE3_F_MAX,
     TABLE3_SPECS,
     ScalingMode,
-    render_comparison_csv,
-    render_comparison_json,
-    render_comparison_text,
-    render_reliability_csv,
-    render_reliability_json,
-    render_reliability_text,
+    comparison_output,
+    reliability_output,
+    render,
     scaling_sequence,
     table1_rows,
     table2_rows,
@@ -103,40 +99,16 @@ def _parse_triple(text: str, expected: str) -> tuple[int, ...]:
     return values
 
 
-def _json(doc: object) -> str:
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def _csv_cell(value: object) -> str:
-    return str(value).lower() if isinstance(value, bool) else str(value)
-
-
-def _csv(records: list[dict]) -> str:
-    """A header line from the first record's keys, then one line per record."""
-    lines = [",".join(records[0])]
-    lines += [",".join(map(_csv_cell, record.values())) for record in records]
-    return "\n".join(lines) + "\n"
-
-
-def _render(record: dict, fmt: str, notes: Sequence[str] = ()) -> str:
+def _record(record: dict, fmt: str, notes: Sequence[str] = ()) -> str:
     """One record as csv, json, or ``key: value`` lines followed by ``notes``."""
-    if fmt == "csv":
-        return _csv([record])
-    if fmt == "json":
-        return _json(record)
-    lines = [f"{key}: {value}" for key, value in record.items()]
-    return "\n".join([*lines, *notes]) + "\n"
+    lines = _record_lines(record, notes)
+    return render(fmt, lambda: record, (record, record.values()), lines)
 
 
-def _render_reliability(
-    specs: list[NetworkSpec], rows: list[ReliabilityRow], fmt: str, head: dict
-) -> str:
-    """A reliability grid; ``head`` holds the json keys written before it."""
-    if fmt == "csv":
-        return render_reliability_csv(specs, rows)
-    if fmt == "json":
-        return render_reliability_json(specs, rows, head)
-    return render_reliability_text(specs, rows)
+def _record_lines(record: dict, notes: Sequence[str]) -> Iterator[str]:
+    for key, value in record.items():
+        yield f"{key}: {value}"
+    yield from notes
 
 
 def _cube_bits(spec: NetworkSpec, cube: int) -> str:
@@ -148,7 +120,7 @@ def _cmd_metrics(args: SimpleNamespace) -> str:
     spec = _spec_from_args(args)
     convention = _CONVENTIONS[args.convention]
     if simple_degree(spec) == spec.nominal_degree:
-        return _render(metrics_report(spec, convention).to_json_dict(), args.format)
+        return _record(metrics_report(spec, convention).to_json_dict(), args.format)
     # A ring of fewer than 3 nodes: the closed link count warns, and the
     # note below says the same on stdout.
     with warnings.catch_warnings():
@@ -158,21 +130,22 @@ def _cmd_metrics(args: SimpleNamespace) -> str:
         f"note: links counts coincident ring links twice; the simple "
         f"graph has {link_count_simple(spec)}"
     )
-    return _render(report.to_json_dict(), args.format, [note])
+    return _record(report.to_json_dict(), args.format, [note])
 
 
-def _route_text(path: Path) -> str:
-    spec = path.spec
-    lines = [
-        f"route {spec.label()}: {path.hops[0]} -> {path.hops[-1]} "
-        f"length {path.length}"
-    ]
-    lines.append(f"start {path.hops[0]} [k={_cube_bits(spec, path.hops[0].cube)}]")
+def _route_rows(path: Path) -> Iterator[tuple]:
+    yield ("step", "move", "i", "j", "k")
+    moves = ["", *(move.label for move in path.moves)]
+    for step, (move, hop) in enumerate(zip(moves, path.hops)):
+        yield (step, move, hop.row, hop.col, hop.cube)
+
+
+def _route_lines(path: Path) -> Iterator[str]:
+    spec, start = path.spec, path.hops[0]
+    yield f"route {spec.label()}: {start} -> {path.hops[-1]} length {path.length}"
+    yield f"start {start} [k={_cube_bits(spec, start.cube)}]"
     for step, (move, hop) in enumerate(zip(path.moves, path.hops[1:]), start=1):
-        lines.append(
-            f"{step}. {move.label} -> {hop} [k={_cube_bits(spec, hop.cube)}]"
-        )
-    return "\n".join(lines) + "\n"
+        yield f"{step}. {move.label} -> {hop} [k={_cube_bits(spec, hop.cube)}]"
 
 
 def _cmd_route(args: SimpleNamespace) -> str:
@@ -186,24 +159,7 @@ def _cmd_route(args: SimpleNamespace) -> str:
             f"{args.max_nodes}; raise --max-nodes to route on it anyway"
         )
     path = route(spec, src, dst)
-    if args.format == "json":
-        return _json(path.to_json_dict())
-    if args.format == "csv":
-        moves = ["", *(move.label for move in path.moves)]
-        return _csv(
-            [
-                {"step": step, "move": move, "i": hop.row, "j": hop.col, "k": hop.cube}
-                for step, (move, hop) in enumerate(zip(moves, path.hops))
-            ]
-        )
-    return _route_text(path)
-
-
-_COMPARISON_RENDERERS = {
-    "csv": render_comparison_csv,
-    "json": render_comparison_json,
-    "text": render_comparison_text,
-}
+    return render(args.format, path.to_json_dict, _route_rows(path), _route_lines(path))
 
 
 def _cmd_table(args: SimpleNamespace) -> str:
@@ -212,11 +168,11 @@ def _cmd_table(args: SimpleNamespace) -> str:
     if args.id == 3:
         specs = list(TABLE3_SPECS)
         rows = reliability_table(specs, TABLE3_F_MAX)
-        return _render_reliability(specs, rows, args.format, {})
+        return render(args.format, *reliability_output(specs, rows))
     # Square is the default because the reference tables quote it.
     convention = _CONVENTIONS[args.convention or "square"]
     rows = table1_rows() if args.id == 1 else table2_rows(convention)
-    return _COMPARISON_RENDERERS[args.format](rows)
+    return render(args.format, *comparison_output(rows))
 
 
 def _cmd_reliability(args: SimpleNamespace) -> str:
@@ -226,10 +182,10 @@ def _cmd_reliability(args: SimpleNamespace) -> str:
         raise _UsageError(f"--f-max must be <= {F_MAX_LIMIT}, got {args.f_max}")
     specs = [
         validate_spec(Family.TEH, *_parse_triple(text, "--spec must be l,m,N"))
-        for text in args.specs or ("4,4,8", "4,4,16", "4,4,32", "4,4,64")
-    ]
+        for text in args.specs or ()
+    ] or list(TABLE3_SPECS)
     rows = reliability_table(specs, args.f_max)
-    return _render_reliability(specs, rows, args.format, {"f_max": args.f_max})
+    return render(args.format, *reliability_output(specs, rows, {"f_max": args.f_max}))
 
 
 def _cmd_simulate(args: SimpleNamespace) -> str:
@@ -247,7 +203,7 @@ def _cmd_simulate(args: SimpleNamespace) -> str:
         "seed": args.seed,
         "estimate": estimate,
     }
-    return _render(record, args.format)
+    return _record(record, args.format)
 
 
 def _cmd_export(args: SimpleNamespace) -> str:
@@ -277,17 +233,14 @@ def _cmd_scale(args: SimpleNamespace) -> str:
         }
         for number, step in enumerate(steps, start=1)
     ]
-    if args.format == "json":
-        return _json(records)
-    if args.format == "csv":
-        return _csv(records)
-    lines = [
+    lines = (
         f"{number}. {step.spec.label()} nodes={step.spec.node_count} "
         f"degree={step.degree} "
         f"reconfigures_existing={'yes' if step.existing_nodes_reconfigured else 'no'}"
         for number, step in enumerate(steps, start=1)
-    ]
-    return "\n".join(lines) + "\n"
+    )
+    rows = [records[0], *map(dict.values, records)]
+    return render(args.format, lambda: records, rows, lines)
 
 
 def _cmd_self_check(args: SimpleNamespace) -> str:
@@ -364,7 +317,7 @@ _COMMAND_TABLE: dict[
     "reliability": (
         "reliability grid", (),
         (
-            _Option("--f-max", "f_max", int, default=9),
+            _Option("--f-max", "f_max", int, default=TABLE3_F_MAX),
             _Option("--spec", "specs", metavar="L,M,N", append=True,
                     help="repeatable; defaults to the (4,4,8..64) series"),
             _FORMAT,

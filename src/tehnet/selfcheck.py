@@ -43,8 +43,9 @@ from .routing import distance_closed, route
 from .tables import (
     TABLE3_F_MAX,
     TABLE3_SPECS,
-    render_comparison_csv,
-    render_reliability_csv,
+    comparison_output,
+    reliability_output,
+    render,
     table1_rows,
     table2_rows,
 )
@@ -169,9 +170,11 @@ def _golden_text(name: str) -> str:
 def _check_tables() -> str:
     specs = list(TABLE3_SPECS)
     rendered = {
-        "table1": render_comparison_csv(table1_rows()),
-        "table2": render_comparison_csv(table2_rows()),
-        "table3": render_reliability_csv(specs, reliability_table(specs, TABLE3_F_MAX)),
+        "table1": render("csv", *comparison_output(table1_rows())),
+        "table2": render("csv", *comparison_output(table2_rows())),
+        "table3": render(
+            "csv", *reliability_output(specs, reliability_table(specs, TABLE3_F_MAX))
+        ),
     }
     for name, text in rendered.items():
         if text != _golden_text(name):

@@ -1,4 +1,4 @@
-"""Comparison datasets, their renderers, and scaling sequences.
+"""Comparison datasets, scaling sequences, and the one output renderer.
 
 Three reference datasets compare the families at processor counts 512
 through 16384: total links (table 1), topological cost (table 2), and
@@ -6,6 +6,10 @@ the reliability grid for the (4, 4, N) scale-up series (table 3).  Two
 embedded configurations appear alongside the basic networks: a fixed
 16 x 16 torus with a growing hypercube, and a growing torus with a fixed
 16-node hypercube.
+
+Every command's csv, json and text go through :func:`render`, which walks
+only the shape its format asks for; :func:`comparison_output` (tables 1-2)
+and :func:`reliability_output` (any reliability grid) build the shapes.
 
 The cost table quotes torus parts by node count only, so a square-ish
 diameter convention is needed.  The torus row follows
@@ -20,7 +24,8 @@ from __future__ import annotations
 import json
 import math
 from enum import Enum
-from typing import NamedTuple
+from itertools import chain
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import ResourceLimitError, SpecError
 from .metrics import DiameterConvention, square_torus_diameter
@@ -226,60 +231,65 @@ def scaling_sequence(
     return out
 
 
-def _aligned(table: list[list[str]], left: int) -> list[str]:
-    """Cells two spaces apart, each column as wide as its widest cell; the
-    first ``left`` columns are left-justified, the rest right-justified."""
+def render(
+    fmt: str, doc: Callable[[], object], rows: Iterable, lines: Iterable[str]
+) -> str:
+    """One command's stdout: ``doc()`` as indented json, ``rows`` (header
+    first) as csv with bools lower-cased, or ``lines`` as text.  Only the
+    shape ``fmt`` asks for is built; the result ends in one newline."""
+    if fmt == "json":
+        return json.dumps(doc(), indent=2) + "\n"
+    if fmt == "csv":
+        lines = (
+            ",".join([str(c).lower() if type(c) is bool else str(c) for c in row])
+            for row in rows
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _aligned(table: Iterable[list[str]], left: int) -> Iterator[str]:
+    """Lines of cells two spaces apart, each column as wide as its widest
+    cell; the first ``left`` columns are left-justified, the rest
+    right-justified.  ``table`` is read when the first line is asked for."""
+    table = list(table)
     widths = [max(map(len, column)) for column in zip(*table)]
-    return [
-        "  ".join(
+    for line in table:
+        yield "  ".join(
             cell.ljust(width) if col < left else cell.rjust(width)
             for col, (cell, width) in enumerate(zip(line, widths))
         )
-        for line in table
-    ]
 
 
 def _number(value: float) -> str:
     return str(int(value)) if value == int(value) else f"{value:.1f}"
 
 
-def render_comparison_csv(rows: list[ComparisonRow]) -> str:
-    """Wide CSV: one row per network, one column per processor count."""
-    header = ",".join(["network"] + [str(row.processors) for row in rows])
-    lines = [header]
-    for key in NETWORK_KEYS:
-        lines.append(",".join([key] + [str(row.values[key]) for row in rows]))
-    return "\n".join(lines) + "\n"
+def comparison_output(
+    rows: list[ComparisonRow],
+) -> tuple[Callable[[], dict], Iterator[list], Iterator[str]]:
+    """Table 1 or 2 as the ``(doc, rows, lines)`` of :func:`render`.
+
+    Csv and text put one network per line and one processor count per
+    column.  Text annotates the growing-cube column with its N and marks
+    each flagged cell with a ``*`` and a footnote.
+    """
+
+    def doc() -> dict:
+        return {
+            "processors": [row.processors for row in rows],
+            "networks": {k: [row.values[k] for row in rows] for k in NETWORK_KEYS},
+            "teh_16_16_cube_nodes": [row.teh_16_16_cube_nodes for row in rows],
+            "flagged": sorted([k, row.processors] for row in rows for k in row.flagged),
+        }
+
+    csv_rows = chain(
+        [["network"] + [row.processors for row in rows]],
+        ([key] + [row.values[key] for row in rows] for key in NETWORK_KEYS),
+    )
+    return doc, csv_rows, _comparison_lines(rows)
 
 
-def render_comparison_json(rows: list[ComparisonRow]) -> str:
-    doc = {
-        "processors": [row.processors for row in rows],
-        "networks": {key: [row.values[key] for row in rows] for key in NETWORK_KEYS},
-        "teh_16_16_cube_nodes": [row.teh_16_16_cube_nodes for row in rows],
-        "flagged": sorted(
-            [key, row.processors] for row in rows for key in row.flagged
-        ),
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def render_reliability_json(
-    specs: list[NetworkSpec], rows: list[ReliabilityRow], head: dict | None = None
-) -> str:
-    """The grid as ``{"specs", "rows"}`` after the keys of ``head``."""
-    doc = {
-        **(head or {}),
-        "specs": [spec.label() for spec in specs],
-        "rows": [{"failures": row.failures, "cells": list(row.cells)} for row in rows],
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def render_comparison_text(rows: list[ComparisonRow]) -> str:
-    """Aligned text table; the growing-cube column annotates its N and
-    flagged cells carry a ``*`` with a footnote."""
-
+def _comparison_lines(rows: list[ComparisonRow]) -> Iterator[str]:
     def cell(row: ComparisonRow, key: str) -> str:
         text = str(row.values[key])
         if key == "teh_16_16_N":
@@ -293,10 +303,9 @@ def render_comparison_text(rows: list[ComparisonRow]) -> str:
         [_DISPLAY_LABELS[key]] + [cell(row, key) for row in rows]
         for key in NETWORK_KEYS
     ]
-    lines = _aligned(table, left=1)
+    yield from _aligned(table, left=1)
     if any(row.flagged for row in rows):
-        lines.append("* differs from the square-convention value")
-    return "\n".join(lines) + "\n"
+        yield "* differs from the square-convention value"
 
 
 def format_reliability_cell(value: float | None) -> str:
@@ -307,22 +316,30 @@ def format_reliability_cell(value: float | None) -> str:
     return "00" if value == 0 else _number(value)
 
 
-def render_reliability_csv(specs: list[NetworkSpec], rows: list[ReliabilityRow]) -> str:
-    """CSV with a ``failures`` column plus one quoted column per spec; an
-    absent cell is empty."""
-    header = ",".join(["failures"] + [f'"{spec.label()}"' for spec in specs])
-    lines = [header]
-    for row in rows:
-        cells = ["" if cell is None else _number(cell) for cell in row.cells]
-        lines.append(",".join([str(row.failures)] + cells))
-    return "\n".join(lines) + "\n"
+def reliability_output(
+    specs: list[NetworkSpec], rows: list[ReliabilityRow], head: dict | None = None
+) -> tuple[Callable[[], dict], Iterator[list], Iterator[str]]:
+    """A reliability grid as the ``(doc, rows, lines)`` of :func:`render`.
 
+    Json holds the keys of ``head``, then ``specs`` and ``rows``.  Csv has
+    a ``failures`` column plus one quoted column per spec, where an absent
+    cell is empty.  Text is aligned, with the ``00`` and ``—`` typography.
+    """
+    labels = [spec.label() for spec in specs]
 
-def render_reliability_text(specs: list[NetworkSpec], rows: list[ReliabilityRow]) -> str:
-    """Aligned text table with the ``00`` and ``—`` typography."""
-    table = [["failures"] + [spec.label() for spec in specs]]
-    table += [
-        [str(row.failures)] + [format_reliability_cell(cell) for cell in row.cells]
-        for row in rows
-    ]
-    return "\n".join(_aligned(table, left=0)) + "\n"
+    def doc() -> dict:
+        cells = [{"failures": row.failures, "cells": list(row.cells)} for row in rows]
+        return {**(head or {}), "specs": labels, "rows": cells}
+
+    csv_rows = chain(
+        [["failures", *(f'"{label}"' for label in labels)]],
+        (
+            [row.failures]
+            + ["" if cell is None else _number(cell) for cell in row.cells]
+            for row in rows
+        ),
+    )
+    text = (
+        [str(row.failures), *map(format_reliability_cell, row.cells)] for row in rows
+    )
+    return doc, csv_rows, _aligned(chain([["failures", *labels]], text), left=0)

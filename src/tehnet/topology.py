@@ -118,16 +118,14 @@ def validate_spec(
             the pure torus family.
 
     Raises:
-        SpecError: If any dimension is not an integer.
+        SpecError: If any dimension is not an ``int`` (a ``bool`` is not).
         NonPositiveDimensionError: If any dimension is below 1.
         NotPowerOfTwoError: If cube_nodes is not a power of two.
         FamilyMismatchError: If a dimension is fixed by the family but
             not 1.
     """
     family = Family(family)
-    if not (
-        isinstance(rows, int) and isinstance(cols, int) and isinstance(cube_nodes, int)
-    ):
+    if not (type(rows) is int and type(cols) is int and type(cube_nodes) is int):
         raise SpecError(
             f"dimensions must be integers, got rows={rows!r} cols={cols!r} "
             f"cube_nodes={cube_nodes!r}"

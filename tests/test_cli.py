@@ -289,6 +289,39 @@ class TestCommands:
         assert code == 0
         assert out.splitlines()[-1] == "8,"
 
+    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    def test_reliability_default_grid_is_table_3(self, fmt):
+        assert invoke("reliability", "--format", fmt) == invoke(
+            "table", "--id", "3", "--format", fmt
+        )
+
+    def test_reliability_default_json_is_table_3_after_f_max(self):
+        _, grid, _ = invoke("reliability", "--format", "json")
+        _, table, _ = invoke("table", "--id", "3", "--format", "json")
+        assert grid == table.replace("{\n", '{\n  "f_max": 9,\n', 1)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+    def test_reliability_repeated_spec_keeps_both_columns(self, fmt):
+        grid = ("reliability", "--spec", "4,4,8", "--f-max", "8", "--format", fmt)
+        code, twice, _ = invoke(*grid, "--spec", "4,4,8")
+        _, once, _ = invoke(*grid)
+        assert code == 0
+        if fmt == "json":
+            doc = json.loads(twice)
+            assert doc["specs"] == ["(4, 4, 8)"] * 2
+            assert [row["cells"] for row in doc["rows"]] == [
+                row["cells"] * 2 for row in json.loads(once)["rows"]
+            ]
+        elif fmt == "csv":
+            assert twice.splitlines() == [
+                line + line[line.index(","):] for line in once.splitlines()
+            ]
+        else:
+            width = len("(4, 4, 8)")
+            assert twice.splitlines() == [
+                f"{line}  {line[-width:]}" for line in once.splitlines()
+            ]
+
     def test_export_json_node_count(self):
         code, out, _ = invoke(
             "export", "--family", "teh", "--l", "2", "--m", "2", "--cube", "8",

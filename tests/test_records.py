@@ -250,7 +250,7 @@ def test_help_loads_argparse_and_prints_its_pinned_bytes():
     assert loaded == ["argparse", "gettext"]
 
 
-#: The public names of ``tehnet`` 0.3.0, sorted; its submodules are left out.
+#: The public names of ``tehnet`` 0.4.0, sorted; its submodules are left out.
 PUBLIC_NAMES = [
     "AddressOutOfRangeError",
     "COL_MINUS",

@@ -32,8 +32,8 @@ from tehnet.reliability import antipodal_node
 from tehnet.tables import (
     TABLE3_SPECS,
     format_reliability_cell,
-    render_reliability_csv,
-    render_reliability_text,
+    reliability_output,
+    render,
 )
 
 SCALED_SPECS = [teh_spec(4, 4, n) for n in (8, 16, 32, 64)]
@@ -237,7 +237,7 @@ class TestTableRendering:
 
     def test_text_table_markers(self):
         rows = reliability_table(SCALED_SPECS, 9)
-        text = render_reliability_text(SCALED_SPECS, rows)
+        text = render("text", *reliability_output(SCALED_SPECS, rows))
         lines = text.splitlines()
         assert lines[0].split() == [
             "failures", "(4,", "4,", "8)", "(4,", "4,", "16)",
@@ -247,17 +247,18 @@ class TestTableRendering:
         assert lines[9].split() == ["9", "—", "—", "00", "10"]
 
     def test_text_without_rows_is_the_header(self):
-        text = render_reliability_text(SCALED_SPECS, [])
+        text = render("text", *reliability_output(SCALED_SPECS, []))
         assert text == (
             "failures  (4, 4, 8)  (4, 4, 16)  (4, 4, 32)  (4, 4, 64)\n"
         )
-        assert text.splitlines() == render_reliability_text(
-            SCALED_SPECS, reliability_table(SCALED_SPECS, 1)
+        rows = reliability_table(SCALED_SPECS, 1)
+        assert text.splitlines() == render(
+            "text", *reliability_output(SCALED_SPECS, rows)
         ).splitlines()[:1]
 
     def test_csv_blank_for_absent(self):
         rows = reliability_table([teh_spec(4, 4, 8)], 8)
-        csv_text = render_reliability_csv([teh_spec(4, 4, 8)], rows)
+        csv_text = render("csv", *reliability_output([teh_spec(4, 4, 8)], rows))
         assert csv_text.splitlines()[0] == 'failures,"(4, 4, 8)"'
         assert csv_text.splitlines()[-1] == "8,"
 

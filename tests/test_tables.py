@@ -21,9 +21,8 @@ from tehnet.tables import (
     PROCESSOR_COUNTS,
     TABLE3_F_MAX,
     TABLE3_SPECS,
-    render_comparison_csv,
-    render_comparison_json,
-    render_comparison_text,
+    comparison_output,
+    render,
 )
 from tehnet.cli import run
 
@@ -175,27 +174,49 @@ class TestScalingSequence:
 
 class TestRendering:
     def test_csv_matches_golden(self):
-        assert render_comparison_csv(table1_rows()) == (
+        assert render("csv", *comparison_output(table1_rows())) == (
             GOLDEN_DIR / "table1.csv"
         ).read_text()
-        assert render_comparison_csv(table2_rows()) == (
+        assert render("csv", *comparison_output(table2_rows())) == (
             GOLDEN_DIR / "table2.csv"
         ).read_text()
 
     def test_text_matches_golden(self):
-        assert render_comparison_text(table1_rows()) == (
+        assert render("text", *comparison_output(table1_rows())) == (
             GOLDEN_DIR / "table1.txt"
         ).read_text()
-        assert render_comparison_text(table2_rows()) == (
+        assert render("text", *comparison_output(table2_rows())) == (
             GOLDEN_DIR / "table2.txt"
         ).read_text()
 
     def test_exact_mode_text_footnote(self):
-        text = render_comparison_text(table2_rows(DiameterConvention.EXACT))
+        text = render("text", *comparison_output(table2_rows(DiameterConvention.EXACT)))
         assert "24576*" in text
         assert text.rstrip().endswith("* differs from the square-convention value")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+    def test_render_walks_only_the_asked_shape(self, fmt):
+        expected = {
+            "csv": "a,b\n1,true\n",
+            "json": '{\n  "a": 1,\n  "b": true\n}\n',
+            "text": "a: 1\nb: True\n",
+        }
+
+        def refuse(*_):
+            raise AssertionError(f"render({fmt!r}) built a shape it was not asked for")
+
+        asked = {
+            "json": lambda: {"a": 1, "b": True},
+            "csv": iter([("a", "b"), (1, True)]),
+            "text": iter(["a: 1", "b: True"]),
+        }
+        unasked = {"json": refuse, "csv": map(refuse, [0]), "text": map(refuse, [0])}
+        doc, rows, lines = (
+            (asked if name == fmt else unasked)[name] for name in asked
+        )
+        assert render(fmt, doc, rows, lines) == expected[fmt]
+
     def test_json_rendering_is_deterministic(self):
-        assert render_comparison_json(table2_rows()) == render_comparison_json(
-            table2_rows()
+        assert render("json", *comparison_output(table2_rows())) == render(
+            "json", *comparison_output(table2_rows())
         )

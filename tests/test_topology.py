@@ -52,7 +52,11 @@ class TestValidateSpec:
             teh_spec(*dims)
 
     @pytest.mark.parametrize(
-        "dims", [(4.5, 4, 8), (4.0, 4, 8), ("4", 4, 8), (4, None, 8), (4, 4, 8.0)]
+        "dims",
+        [
+            (4.5, 4, 8), (4.0, 4, 8), ("4", 4, 8), (4, None, 8), (4, 4, 8.0),
+            (True, 4, 8), (4, 4, True),
+        ],
     )
     def test_non_integer_dimensions(self, dims):
         # A typed error before any comparison or graph work.
