@@ -21,13 +21,13 @@ def report(mode: ScalingMode, base, steps: int) -> None:
     print(f"mode: {mode.value} expansion")
     print(f"  base {base.label()}: nodes={base.node_count} "
           f"degree={base.nominal_degree}")
-    for number, step in enumerate(scaling_sequence(mode, base, steps), start=1):
-        m = metrics_report(step.spec)
-        rewire = "rewires existing nodes" if step.existing_nodes_reconfigured else (
-            "existing nodes untouched")
+    rewire = ("rewires existing nodes" if mode is ScalingMode.EXPAND_HYPERCUBE
+              else "existing nodes untouched")
+    for number, spec in enumerate(scaling_sequence(mode, base, steps), start=1):
+        m = metrics_report(spec)
         print(
-            f"  step {number}: {step.spec.label()} nodes={m.node_count} "
-            f"degree={step.degree} links={m.links} diameter={m.diameter} "
+            f"  step {number}: {spec.label()} nodes={m.node_count} "
+            f"degree={spec.nominal_degree} links={m.links} diameter={m.diameter} "
             f"cost={m.cost} ({rewire})"
         )
     print()

@@ -27,9 +27,7 @@ from .metrics import (
     square_torus_diameter,
 )
 from .reliability import (
-    FaultScenario,
     ReliabilityRow,
-    inject_faults,
     monte_carlo_connectivity,
     reliability_percent,
     reliability_table,
@@ -50,7 +48,6 @@ from .selfcheck import CheckResult, self_check
 from .tables import (
     ComparisonRow,
     ScalingMode,
-    ScalingStep,
     scaling_sequence,
     table1_rows,
     table2_rows,
@@ -71,4 +68,4 @@ from .topology import (
     validate_spec,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

@@ -215,29 +215,30 @@ def _cmd_export(args: SimpleNamespace) -> str:
 def _cmd_scale(args: SimpleNamespace) -> str:
     if args.steps < 1:
         raise _UsageError("--steps must be >= 1")
-    spec = _spec_from_args(args)
-    steps = scaling_sequence(
-        ScalingMode(args.mode), spec, args.steps, node_cap=args.max_nodes
+    mode = ScalingMode(args.mode)
+    rewires = mode is ScalingMode.EXPAND_HYPERCUBE
+    specs = scaling_sequence(
+        mode, _spec_from_args(args), args.steps, node_cap=args.max_nodes
     )
     records = [
         {
             "step": number,
-            "mode": step.mode.value,
-            "family": step.spec.family.value,
-            "l": step.spec.rows,
-            "m": step.spec.cols,
-            "N": step.spec.cube_nodes,
-            "nodes": step.spec.node_count,
-            "degree": step.degree,
-            "existing_nodes_reconfigured": step.existing_nodes_reconfigured,
+            "mode": mode.value,
+            "family": spec.family.value,
+            "l": spec.rows,
+            "m": spec.cols,
+            "N": spec.cube_nodes,
+            "nodes": spec.node_count,
+            "degree": spec.nominal_degree,
+            "existing_nodes_reconfigured": rewires,
         }
-        for number, step in enumerate(steps, start=1)
+        for number, spec in enumerate(specs, start=1)
     ]
     lines = (
-        f"{number}. {step.spec.label()} nodes={step.spec.node_count} "
-        f"degree={step.degree} "
-        f"reconfigures_existing={'yes' if step.existing_nodes_reconfigured else 'no'}"
-        for number, step in enumerate(steps, start=1)
+        f"{number}. {spec.label()} nodes={spec.node_count} "
+        f"degree={spec.nominal_degree} "
+        f"reconfigures_existing={'yes' if rewires else 'no'}"
+        for number, spec in enumerate(specs, start=1)
     )
     rows = [records[0], *map(dict.values, records)]
     return render(args.format, lambda: records, rows, lines)

@@ -17,7 +17,6 @@ keeps a link, and not once all its links have failed.
 
 from __future__ import annotations
 
-import random
 from typing import NamedTuple
 
 from .errors import CountOutOfRangeError, SpecError, TooManyFaultsError
@@ -26,7 +25,6 @@ from .topology import (
     DEFAULT_NODE_CAP,
     NetworkSpec,
     NodeAddress,
-    Topology,
     _check_node_cap,
     encode_address,
 )
@@ -94,62 +92,6 @@ def reliability_table(specs: list[NetworkSpec], f_max: int) -> list[ReliabilityR
         )
         for f in range(1, f_max + 1)
     ]
-
-
-class FaultScenario(NamedTuple):
-    """A deterministic set of failed links and nodes for one topology."""
-
-    spec: NetworkSpec
-    failed_links: frozenset[tuple[int, int]]
-    failed_nodes: frozenset[int]
-    seed: int
-
-
-def _trial_rng(seed: int, counter: int) -> random.Random:
-    # Per-trial generators are derived by hashing (seed, counter) so the
-    # trial order never affects individual draws.
-    import hashlib  # here, not at module level: no CLI command draws faults
-    digest = hashlib.sha256(f"{seed}:{counter}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
-
-
-def inject_faults(
-    topology: Topology, count_links: int, count_nodes: int, seed: int
-) -> FaultScenario:
-    """Sample failed links and nodes without replacement, deterministically.
-
-    Node 0 is the conventional source for connectivity experiments and is
-    never failed.
-
-    Raises:
-        CountOutOfRangeError: If either count is below 0.
-        TooManyFaultsError: If either count exceeds what is available.
-    """
-    if count_links < 0 or count_nodes < 0:
-        raise CountOutOfRangeError(
-            f"fault counts must be >= 0, got {count_links} links and "
-            f"{count_nodes} nodes"
-        )
-    links = [(src, dst) for src, dst, _ in topology.edges]
-    eligible_nodes = list(range(1, topology.node_count))
-    if count_links > len(links):
-        raise TooManyFaultsError(
-            f"asked for {count_links} failed links, only {len(links)} exist"
-        )
-    if count_nodes > len(eligible_nodes):
-        raise TooManyFaultsError(
-            f"asked for {count_nodes} failed nodes, only "
-            f"{len(eligible_nodes)} are eligible"
-        )
-    rng = _trial_rng(seed, 0)
-    failed_links = frozenset(rng.sample(links, count_links))
-    failed_nodes = frozenset(rng.sample(eligible_nodes, count_nodes))
-    return FaultScenario(
-        spec=topology.spec,
-        failed_links=failed_links,
-        failed_nodes=failed_nodes,
-        seed=seed,
-    )
 
 
 def antipodal_node(spec: NetworkSpec) -> int:

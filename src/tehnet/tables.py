@@ -169,20 +169,14 @@ class ScalingMode(str, Enum):
     EXPAND_HYPERCUBE = "hypercube"
 
 
-class ScalingStep(NamedTuple):
-    mode: ScalingMode
-    spec: NetworkSpec
-    degree: int
-    existing_nodes_reconfigured: bool
-
-
 def scaling_sequence(
     mode: ScalingMode,
     base_spec: NetworkSpec,
     steps: int,
     node_cap: int = DEFAULT_NODE_CAP,
-) -> list[ScalingStep]:
-    """Grow a network step by step in one of the two scale-up modes.
+) -> list[NetworkSpec]:
+    """The specs of a network grown step by step in one of the two
+    scale-up modes.
 
     Torus expansion doubles the torus node count each step, doubling the
     smaller of rows/cols (cols on ties) to stay near-square; existing
@@ -197,7 +191,7 @@ def scaling_sequence(
     mode = ScalingMode(mode)
     if steps < 1:
         raise SpecError(f"steps must be >= 1, got {steps}")
-    out: list[ScalingStep] = []
+    out: list[NetworkSpec] = []
     rows, cols, cube_nodes = base_spec.rows, base_spec.cols, base_spec.cube_nodes
     family = base_spec.family
     for _ in range(steps):
@@ -208,26 +202,16 @@ def scaling_sequence(
                 cols *= 2
             if family is Family.HYPERCUBE:
                 family = Family.TEH
-            reconfigured = False
         else:
             cube_nodes *= 2
             if family is Family.TORUS:
                 family = Family.TEH
-            reconfigured = True
         if rows * cols * cube_nodes > node_cap:
             raise ResourceLimitError(
                 f"scaling step to ({rows}, {cols}, {cube_nodes}) exceeds the "
                 f"node cap of {node_cap}"
             )
-        spec = validate_spec(family, rows, cols, cube_nodes)
-        out.append(
-            ScalingStep(
-                mode=mode,
-                spec=spec,
-                degree=spec.nominal_degree,
-                existing_nodes_reconfigured=reconfigured,
-            )
-        )
+        out.append(validate_spec(family, rows, cols, cube_nodes))
     return out
 
 

@@ -118,13 +118,17 @@ def validate_spec(
             the pure torus family.
 
     Raises:
-        SpecError: If any dimension is not an ``int`` (a ``bool`` is not).
+        SpecError: If ``family`` names no family, or any dimension is not
+            an ``int`` (a ``bool`` is not).
         NonPositiveDimensionError: If any dimension is below 1.
         NotPowerOfTwoError: If cube_nodes is not a power of two.
         FamilyMismatchError: If a dimension is fixed by the family but
             not 1.
     """
-    family = Family(family)
+    try:
+        family = Family(family)
+    except ValueError:
+        raise SpecError(f"unknown family {family!r}") from None
     if not (type(rows) is int and type(cols) is int and type(cube_nodes) is int):
         raise SpecError(
             f"dimensions must be integers, got rows={rows!r} cols={cols!r} "
@@ -229,8 +233,16 @@ class Topology(_TopologyFields):
 
     def distances(self, source: int) -> list[int]:
         """Hop counts from ``source`` by breadth-first search over
-        :attr:`adjacency`, -1 for nodes it does not reach."""
+        :attr:`adjacency`, -1 for nodes it does not reach.
+
+        Raises:
+            IndexOutOfRangeError: If ``source`` is not a node index.
+        """
         adjacency = self.adjacency
+        if not 0 <= source < len(adjacency):
+            raise IndexOutOfRangeError(
+                f"source {source} outside 0..{len(adjacency) - 1}"
+            )
         dist = [-1] * len(adjacency)
         dist[source] = 0
         frontier = [source]

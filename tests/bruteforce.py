@@ -8,6 +8,8 @@ so library results have something external to agree with.
 """
 
 from collections import deque
+from fractions import Fraction
+from itertools import combinations
 
 
 def moves(rows, cols, cube_nodes, node):
@@ -130,3 +132,18 @@ def all_pairs_diameter(adjacency):
     return max(
         max(single_source_dists(adjacency, src).values()) for src in adjacency
     )
+
+
+def incident_cut_share(adjacency, source, goal, failures):
+    """The share of all sets of ``failures`` links at ``source`` whose
+    removal leaves ``source`` connected to ``goal``, as a ``Fraction``,
+    with one search per set."""
+    cuts = list(combinations(sorted(adjacency[source]), failures))
+    connected = 0
+    for cut in cuts:
+        faulted = dict(adjacency)
+        faulted[source] = adjacency[source] - set(cut)
+        for nbr in cut:
+            faulted[nbr] = adjacency[nbr] - {source}
+        connected += bfs_dist(faulted, source, goal) is not None
+    return Fraction(connected, len(cuts))

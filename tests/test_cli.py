@@ -6,13 +6,12 @@ import json
 import subprocess
 import sys
 import warnings
-from itertools import combinations
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
-from bruteforce import adjacency_by_enumeration, bfs_dist
+from bruteforce import adjacency_by_enumeration, incident_cut_share
 from strategies import cli_argvs
 from tehnet import build_graph, cli, decode_address, selfcheck, teh_spec
 from tehnet.reliability import antipodal_node
@@ -399,20 +398,10 @@ class TestInputBounds:
 
 
 def share_per_cut(spec, failures, *_):
-    """The share of node 0's ``failures``-link cuts that keep it joined to
-    the antipodal node, with one rebuilt graph and one search per cut."""
+    """``monte_carlo_connectivity`` from the brute-force cut oracle."""
     adjacency = adjacency_by_enumeration(spec.rows, spec.cols, spec.cube_nodes)
-    source = (0, 0, 0)
     goal = tuple(decode_address(spec, antipodal_node(spec)))
-    cuts = list(combinations(sorted(adjacency[source]), failures))
-    connected = 0
-    for cut in cuts:
-        kept = {node: set(nbrs) for node, nbrs in adjacency.items()}
-        for nbr in cut:
-            kept[source].discard(nbr)
-            kept[nbr].discard(source)
-        connected += bfs_dist(kept, source, goal) is not None
-    return connected / len(cuts)
+    return float(incident_cut_share(adjacency, (0, 0, 0), goal, failures))
 
 
 class TestSelfCheck:

@@ -15,7 +15,6 @@ import tehnet
 from tehnet import (
     CheckResult,
     ComparisonRow,
-    FaultScenario,
     Family,
     NodeAddress,
     Topology,
@@ -24,7 +23,6 @@ from tehnet import (
     metrics_report,
     reliability_table,
     route,
-    scaling_sequence,
     table1_rows,
     teh_spec,
 )
@@ -58,14 +56,6 @@ RECORDS = {
         lambda: reliability_table([teh_spec(4, 4, 8), teh_spec(4, 4, 16)], 8)[7],
         "ReliabilityRow(failures=8, cells=(None, 0.0))",
     ),
-    "FaultScenario": (
-        lambda: FaultScenario(
-            teh_spec(2, 2, 2), frozenset({(0, 1)}), frozenset({3}), 5
-        ),
-        "FaultScenario(spec=NetworkSpec(family=<Family.TEH: 'teh'>, rows=2, cols=2, "
-        "cube_nodes=2, cube_dim=1), failed_links=frozenset({(0, 1)}), "
-        "failed_nodes=frozenset({3}), seed=5)",
-    ),
     "CheckResult": (
         lambda: CheckResult(group="tables", passed=False, detail="x"),
         "CheckResult(group='tables', passed=False, detail='x')",
@@ -80,12 +70,6 @@ RECORDS = {
         lambda: ComparisonRow(512, {"torus": 1}, 2, frozenset({"torus"})),
         "ComparisonRow(processors=512, values={'torus': 1}, teh_16_16_cube_nodes=2, "
         "flagged=frozenset({'torus'}))",
-    ),
-    "ScalingStep": (
-        lambda: scaling_sequence("torus", teh_spec(4, 4, 8), 1)[0],
-        "ScalingStep(mode=<ScalingMode.EXPAND_TORUS: 'torus'>, "
-        "spec=NetworkSpec(family=<Family.TEH: 'teh'>, rows=4, cols=8, cube_nodes=8, "
-        "cube_dim=3), degree=7, existing_nodes_reconfigured=False)",
     ),
 }
 
@@ -250,7 +234,7 @@ def test_help_loads_argparse_and_prints_its_pinned_bytes():
     assert loaded == ["argparse", "gettext"]
 
 
-#: The public names of ``tehnet`` 0.4.0, sorted; its submodules are left out.
+#: The public names of ``tehnet`` 0.5.0, sorted; its submodules are left out.
 PUBLIC_NAMES = [
     "AddressOutOfRangeError",
     "COL_MINUS",
@@ -263,7 +247,6 @@ PUBLIC_NAMES = [
     "DiameterConvention",
     "Family",
     "FamilyMismatchError",
-    "FaultScenario",
     "IndexOutOfRangeError",
     "MetricsReport",
     "Move",
@@ -277,7 +260,6 @@ PUBLIC_NAMES = [
     "ReliabilityRow",
     "ResourceLimitError",
     "ScalingMode",
-    "ScalingStep",
     "SpecError",
     "TehnetError",
     "TooManyFaultsError",
@@ -292,7 +274,6 @@ PUBLIC_NAMES = [
     "encode_address",
     "export_topology",
     "hypercube_spec",
-    "inject_faults",
     "link_count_closed",
     "link_count_simple",
     "metrics_report",

@@ -3,14 +3,13 @@
 import io
 import math
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
 import tehnet.cli
 import tehnet.reliability
 import tehnet.topology
-from bruteforce import adjacency_by_enumeration, bfs_dist
+from bruteforce import adjacency_by_enumeration, incident_cut_share
 from strategies import SMALL_SPEC_IDS, SMALL_SPECS
 from tehnet import (
     CountOutOfRangeError,
@@ -21,7 +20,6 @@ from tehnet import (
     decode_address,
     distance_closed,
     hypercube_spec,
-    inject_faults,
     monte_carlo_connectivity,
     reliability_percent,
     reliability_table,
@@ -42,22 +40,6 @@ ORACLE_SPECS = [
     for spec, spec_id in zip(SMALL_SPECS, SMALL_SPEC_IDS)
     if spec.node_count <= 64
 ]
-
-
-def connected_fraction_by_enumeration(spec, adjacency, failures):
-    """Reference: the share of all sets of ``failures`` links at node 0
-    whose removal leaves node 0 connected to the antipodal node."""
-    origin = (0, 0, 0)
-    goal = tuple(decode_address(spec, antipodal_node(spec)))
-    cuts = list(combinations(sorted(adjacency[origin]), failures))
-    connected = 0
-    for cut in cuts:
-        faulted = dict(adjacency)
-        faulted[origin] = adjacency[origin] - set(cut)
-        for nbr in cut:
-            faulted[nbr] = adjacency[nbr] - {origin}
-        connected += bfs_dist(faulted, origin, goal) is not None
-    return Fraction(connected, len(cuts))
 
 
 def percent_by_fraction(fraction):
@@ -263,63 +245,6 @@ class TestTableRendering:
         assert csv_text.splitlines()[-1] == "8,"
 
 
-class TestInjectFaults:
-    def test_empty_scenario(self):
-        topology = build_graph(teh_spec(3, 3, 2))
-        scenario = inject_faults(topology, 0, 0, 7)
-        assert scenario.failed_links == frozenset()
-        assert scenario.failed_nodes == frozenset()
-
-    def test_deterministic_for_a_seed(self):
-        topology = build_graph(teh_spec(4, 4, 8))
-        first = inject_faults(topology, 3, 2, 42)
-        second = inject_faults(topology, 3, 2, 42)
-        assert first == second
-        assert len(first.failed_links) == 3
-        assert len(first.failed_nodes) == 2
-
-    @pytest.mark.parametrize(
-        "seed,links,nodes",
-        [
-            (0, [(39, 71), (53, 85), (70, 71)], [18, 25]),
-            (7, [(57, 59), (69, 71), (90, 94)], [57, 69]),
-            (42, [(66, 74), (104, 106), (105, 107)], [5, 95]),
-        ],
-    )
-    def test_draws_are_pinned(self, seed, links, nodes):
-        # README promises bitwise-identical runs: these draws must not change.
-        scenario = inject_faults(build_graph(teh_spec(4, 4, 8)), 3, 2, seed)
-        assert sorted(scenario.failed_links) == links
-        assert sorted(scenario.failed_nodes) == nodes
-
-    def test_different_seeds_usually_differ(self):
-        topology = build_graph(teh_spec(4, 4, 8))
-        draws = {inject_faults(topology, 3, 0, seed).failed_links for seed in range(8)}
-        assert len(draws) > 1
-
-    def test_source_node_never_fails(self):
-        topology = build_graph(teh_spec(3, 3, 2))
-        for seed in range(20):
-            scenario = inject_faults(topology, 0, 17, seed)
-            assert 0 not in scenario.failed_nodes
-
-    def test_too_many_links(self):
-        topology = build_graph(teh_spec(2, 2, 8))
-        with pytest.raises(TooManyFaultsError):
-            inject_faults(topology, 1000, 0, 1)
-
-    def test_too_many_nodes(self):
-        topology = build_graph(teh_spec(2, 2, 2))
-        with pytest.raises(TooManyFaultsError):
-            inject_faults(topology, 0, 8, 1)
-
-    @pytest.mark.parametrize("counts", [(-1, 0), (0, -1)])
-    def test_negative_counts(self, counts):
-        topology = build_graph(teh_spec(2, 2, 2))
-        with pytest.raises(CountOutOfRangeError, match="must be >= 0"):
-            inject_faults(topology, *counts, 1)
-
-
 class TestMonteCarlo:
     def test_connected_without_faults(self):
         for seed in (0, 1, 99):
@@ -366,9 +291,10 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("spec", ORACLE_SPECS)
     def test_equals_every_fault_set(self, spec):
         adjacency = adjacency_by_enumeration(spec.rows, spec.cols, spec.cube_nodes)
+        goal = tuple(decode_address(spec, antipodal_node(spec)))
         degree = len(adjacency[(0, 0, 0)])
         for failures in range(degree + 1):
-            expected = connected_fraction_by_enumeration(spec, adjacency, failures)
+            expected = incident_cut_share(adjacency, (0, 0, 0), goal, failures)
             assert monte_carlo_connectivity(spec, failures, 20, 1) == expected
         with pytest.raises(TooManyFaultsError, match=f"node 0 has {degree}$"):
             monte_carlo_connectivity(spec, degree + 1, 20, 1)

@@ -10,6 +10,7 @@ from tehnet import (
     COL_PLUS,
     ROW_PLUS,
     AddressOutOfRangeError,
+    IndexOutOfRangeError,
     Move,
     NodeAddress,
     Path,
@@ -295,6 +296,14 @@ class TestBfsDistance:
         # An unreached node reads -1.
         topology = Topology(spec=teh_spec(2, 2, 2), edges=())
         assert topology.distances(0) == [0, -1, -1, -1, -1, -1, -1, -1]
+
+    @pytest.mark.parametrize("source", [-1, 8])
+    def test_source_outside_the_index_space(self, source):
+        # -1 is a valid list index, so only the range check rejects it.
+        topology = build_graph(teh_spec(2, 2, 2))
+        message = rf"^source {source} outside 0\.\.7$"
+        with pytest.raises(IndexOutOfRangeError, match=message):
+            topology.distances(source)
 
     @pytest.mark.parametrize("dims", [(3, 3, 4), (4, 4, 2), (2, 2, 8)])
     def test_all_routes_match_both_oracles(self, dims):

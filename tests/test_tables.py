@@ -118,22 +118,18 @@ class TestReliabilityGrid:
 
 class TestScalingSequence:
     def test_torus_expansion_keeps_degree(self):
-        steps = scaling_sequence(ScalingMode.EXPAND_TORUS, teh_spec(4, 4, 16), 3)
-        dims = [(s.spec.rows, s.spec.cols, s.spec.cube_nodes) for s in steps]
-        assert dims == [(4, 8, 16), (8, 8, 16), (8, 16, 16)]
-        assert all(step.degree == 8 for step in steps)
-        assert not any(step.existing_nodes_reconfigured for step in steps)
+        specs = scaling_sequence(ScalingMode.EXPAND_TORUS, teh_spec(4, 4, 16), 3)
+        assert specs == [teh_spec(4, 8, 16), teh_spec(8, 8, 16), teh_spec(8, 16, 16)]
+        assert all(spec.nominal_degree == 8 for spec in specs)
 
     def test_cube_expansion_raises_degree(self):
-        steps = scaling_sequence(ScalingMode.EXPAND_HYPERCUBE, teh_spec(4, 4, 8), 2)
-        dims = [(s.spec.rows, s.spec.cols, s.spec.cube_nodes) for s in steps]
-        assert dims == [(4, 4, 16), (4, 4, 32)]
-        assert [step.degree for step in steps] == [8, 9]
-        assert all(step.existing_nodes_reconfigured for step in steps)
+        specs = scaling_sequence(ScalingMode.EXPAND_HYPERCUBE, teh_spec(4, 4, 8), 2)
+        assert specs == [teh_spec(4, 4, 16), teh_spec(4, 4, 32)]
+        assert [spec.nominal_degree for spec in specs] == [8, 9]
 
     def test_doubles_the_smaller_torus_side(self):
-        steps = scaling_sequence(ScalingMode.EXPAND_TORUS, teh_spec(2, 8, 4), 2)
-        dims = [(s.spec.rows, s.spec.cols) for s in steps]
+        specs = scaling_sequence(ScalingMode.EXPAND_TORUS, teh_spec(2, 8, 4), 2)
+        dims = [(spec.rows, spec.cols) for spec in specs]
         assert dims == [(4, 8), (8, 8)]
 
     def test_steps_must_be_positive(self):
@@ -147,16 +143,16 @@ class TestScalingSequence:
             )
 
     def test_torus_base_stays_torus(self):
-        steps = scaling_sequence(ScalingMode.EXPAND_TORUS, torus_spec(4, 4), 1)
-        assert steps[0].spec.family.value == "torus"
+        specs = scaling_sequence(ScalingMode.EXPAND_TORUS, torus_spec(4, 4), 1)
+        assert specs == [torus_spec(4, 8)]
 
     @pytest.mark.parametrize("dims", [(3, 3, 2), (4, 6, 4), (5, 3, 16), (4, 4, 1)])
     def test_degree_progression_from_any_base(self, dims):
         base = teh_spec(*dims)
-        torus_steps = scaling_sequence(ScalingMode.EXPAND_TORUS, base, 3)
-        assert [s.degree for s in torus_steps] == [base.nominal_degree] * 3
-        cube_steps = scaling_sequence(ScalingMode.EXPAND_HYPERCUBE, base, 3)
-        assert [s.degree for s in cube_steps] == [
+        torus_specs = scaling_sequence(ScalingMode.EXPAND_TORUS, base, 3)
+        assert [s.nominal_degree for s in torus_specs] == [base.nominal_degree] * 3
+        cube_specs = scaling_sequence(ScalingMode.EXPAND_HYPERCUBE, base, 3)
+        assert [s.nominal_degree for s in cube_specs] == [
             base.nominal_degree + 1,
             base.nominal_degree + 2,
             base.nominal_degree + 3,

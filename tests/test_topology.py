@@ -63,6 +63,12 @@ class TestValidateSpec:
         with pytest.raises(SpecError, match="dimensions must be integers"):
             validate_spec("teh", *dims)
 
+    def test_unknown_family(self):
+        # The typed error, not the enum's plain ValueError.
+        with pytest.raises(SpecError, match="^unknown family 'cube'$") as raised:
+            validate_spec("cube", 1, 1, 4)
+        assert raised.value.__suppress_context__
+
     def test_family_constraints(self):
         with pytest.raises(FamilyMismatchError):
             validate_spec(Family.HYPERCUBE, 2, 1, 8)
