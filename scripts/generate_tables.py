@@ -10,17 +10,18 @@ no-op diff.
 import argparse
 from pathlib import Path
 
-from tehnet import DiameterConvention, reliability_table
+from tehnet import DiameterConvention
 from tehnet.tables import (
     NETWORK_KEYS,
-    TABLE3_F_MAX,
-    TABLE3_SPECS,
-    comparison_output,
-    reliability_output,
+    TABLE_FILES,
     render,
+    render_table,
     table1_rows,
     table2_rows,
 )
+
+#: Each output format to the suffix of its file.
+SUFFIXES = {"csv": "csv", "json": "json", "text": "txt"}
 
 
 def figure_csv(rows) -> str:
@@ -39,24 +40,16 @@ def main() -> None:
     out: Path = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
 
-    specs = list(TABLE3_SPECS)
-    rows3 = reliability_table(specs, TABLE3_F_MAX)
-    exact = table2_rows(DiameterConvention.EXACT)
     outputs = {
-        "table1_links.csv": render("csv", *comparison_output(table1_rows())),
-        "table1_links.json": render("json", *comparison_output(table1_rows())),
-        "table1_links.txt": render("text", *comparison_output(table1_rows())),
-        "table2_cost.csv": render("csv", *comparison_output(table2_rows())),
-        "table2_cost.json": render("json", *comparison_output(table2_rows())),
-        "table2_cost.txt": render("text", *comparison_output(table2_rows())),
-        "table2_cost_exact.csv": render("csv", *comparison_output(exact)),
-        "table2_cost_exact.txt": render("text", *comparison_output(exact)),
-        "table3_reliability.csv": render("csv", *reliability_output(specs, rows3)),
-        "table3_reliability.json": render("json", *reliability_output(specs, rows3)),
-        "table3_reliability.txt": render("text", *reliability_output(specs, rows3)),
-        "figure_links_vs_p.csv": figure_csv(table1_rows()),
-        "figure_cost_vs_p.csv": figure_csv(table2_rows()),
+        f"{stem}.{suffix}": render_table(table_id, fmt)
+        for table_id, stem in TABLE_FILES.items()
+        for fmt, suffix in SUFFIXES.items()
     }
+    for fmt in ("csv", "text"):
+        name = f"{TABLE_FILES[2]}_exact.{SUFFIXES[fmt]}"
+        outputs[name] = render_table(2, fmt, DiameterConvention.EXACT)
+    outputs["figure_links_vs_p.csv"] = figure_csv(table1_rows())
+    outputs["figure_cost_vs_p.csv"] = figure_csv(table2_rows())
     for name, text in outputs.items():
         (out / name).write_text(text)
         print(f"wrote {out / name}")

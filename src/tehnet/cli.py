@@ -27,13 +27,12 @@ from .selfcheck import self_check
 from .tables import (
     TABLE3_F_MAX,
     TABLE3_SPECS,
+    TABLE_FILES,
     ScalingMode,
-    comparison_output,
     reliability_output,
     render,
+    render_table,
     scaling_sequence,
-    table1_rows,
-    table2_rows,
 )
 from .topology import (
     DEFAULT_NODE_CAP,
@@ -165,14 +164,8 @@ def _cmd_route(args: SimpleNamespace) -> str:
 def _cmd_table(args: SimpleNamespace) -> str:
     if args.convention is not None and args.id != 2:
         raise _UsageError(f"table --id {args.id} does not take --convention")
-    if args.id == 3:
-        specs = list(TABLE3_SPECS)
-        rows = reliability_table(specs, TABLE3_F_MAX)
-        return render(args.format, *reliability_output(specs, rows))
     # Square is the default because the reference tables quote it.
-    convention = _CONVENTIONS[args.convention or "square"]
-    rows = table1_rows() if args.id == 1 else table2_rows(convention)
-    return render(args.format, *comparison_output(rows))
+    return render_table(args.id, args.format, _CONVENTIONS[args.convention or "square"])
 
 
 def _cmd_reliability(args: SimpleNamespace) -> str:
@@ -309,7 +302,7 @@ _COMMAND_TABLE: dict[
     "table": (
         "comparison tables 1-3", (),
         (
-            _Option("--id", "id", int, choices=(1, 2, 3), required=True),
+            _Option("--id", "id", int, choices=tuple(TABLE_FILES), required=True),
             _FORMAT,
             _CONVENTION,
         ),

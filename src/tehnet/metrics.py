@@ -24,7 +24,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import ClosedFormApproximationWarning
-from .topology import Family, NetworkSpec, Topology
+from .topology import Family, NetworkSpec, Topology, _member
 
 
 class DiameterConvention(str, Enum):
@@ -137,8 +137,9 @@ def diameter_bfs(topology: Topology) -> int:
 def metrics_report(
     spec: NetworkSpec, convention: DiameterConvention = DiameterConvention.EXACT
 ) -> MetricsReport:
-    """Bundle degree, links, diameter, and cost; cost = links * diameter."""
-    convention = DiameterConvention(convention)
+    """Bundle degree, links, diameter, and cost; cost = links * diameter.
+    An unknown ``convention`` raises :class:`SpecError`."""
+    convention = _member(DiameterConvention, convention, "diameter convention")
     links = link_count_closed(spec)
     diameter = _convention_diameter(spec, convention)
     return MetricsReport(

@@ -82,9 +82,10 @@ class ReliabilityRow(NamedTuple):
 
 
 def reliability_table(specs: list[NetworkSpec], f_max: int) -> list[ReliabilityRow]:
-    """Rows f = 1..f_max of reliability percentages, one cell per spec."""
+    """Rows f = 1..f_max of reliability percentages, one cell per spec.
+    An empty ``specs`` raises :class:`SpecError`."""
     if not specs:
-        raise ValueError("at least one spec is required")
+        raise SpecError("at least one spec is required")
     return [
         ReliabilityRow(
             failures=f,

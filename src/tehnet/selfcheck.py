@@ -36,26 +36,11 @@ from .reliability import (
     antipodal_node,
     monte_carlo_connectivity,
     reliability_percent,
-    reliability_table,
     unreliability_percent,
 )
 from .routing import distance_closed, route
-from .tables import (
-    TABLE3_F_MAX,
-    TABLE3_SPECS,
-    comparison_output,
-    reliability_output,
-    render,
-    table1_rows,
-    table2_rows,
-)
+from .tables import TABLE_FILES, render_table
 from .topology import NetworkSpec, Topology, build_graph, decode_address, teh_spec
-
-GOLDEN_FILES = {
-    "table1": "table1_links.csv",
-    "table2": "table2_cost.csv",
-    "table3": "table3_reliability.csv",
-}
 
 _ORACLE_GRID = list(product((3, 4, 5), (3, 4, 5), (1, 2, 4, 8)))
 _TRANSITIVITY_SPECS = ((3, 4, 4), (2, 2, 8))
@@ -162,23 +147,15 @@ def _check_routing(build: _Build) -> str:
     return ""
 
 
-def _golden_text(name: str) -> str:
-    resource = importlib.resources.files("tehnet").joinpath("data", GOLDEN_FILES[name])
-    return resource.read_text()
+def _golden_text(table_id: int) -> str:
+    name = f"{TABLE_FILES[table_id]}.csv"
+    return importlib.resources.files("tehnet").joinpath("data", name).read_text()
 
 
 def _check_tables() -> str:
-    specs = list(TABLE3_SPECS)
-    rendered = {
-        "table1": render("csv", *comparison_output(table1_rows())),
-        "table2": render("csv", *comparison_output(table2_rows())),
-        "table3": render(
-            "csv", *reliability_output(specs, reliability_table(specs, TABLE3_F_MAX))
-        ),
-    }
-    for name, text in rendered.items():
-        if text != _golden_text(name):
-            return f"{name} does not match its golden file"
+    for table_id in TABLE_FILES:
+        if render_table(table_id, "csv") != _golden_text(table_id):
+            return f"table{table_id} does not match its golden file"
     return ""
 
 

@@ -9,7 +9,8 @@ embedded configurations appear alongside the basic networks: a fixed
 
 Every command's csv, json and text go through :func:`render`, which walks
 only the shape its format asks for; :func:`comparison_output` (tables 1-2)
-and :func:`reliability_output` (any reliability grid) build the shapes.
+and :func:`reliability_output` (any reliability grid) build the shapes;
+:func:`render_table` is the one path from a table id to its bytes.
 
 The cost table quotes torus parts by node count only, so a square-ish
 diameter convention is needed.  The torus row follows
@@ -29,11 +30,12 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import ResourceLimitError, SpecError
 from .metrics import DiameterConvention, square_torus_diameter
-from .reliability import ReliabilityRow
+from .reliability import ReliabilityRow, reliability_table
 from .topology import (
     DEFAULT_NODE_CAP,
     Family,
     NetworkSpec,
+    _member,
     teh_spec,
     validate_spec,
 )
@@ -51,13 +53,11 @@ _DISPLAY_LABELS = {
 }
 
 #: Specs of the reliability grid columns (table 3).
-TABLE3_SPECS = (
-    teh_spec(4, 4, 8),
-    teh_spec(4, 4, 16),
-    teh_spec(4, 4, 32),
-    teh_spec(4, 4, 64),
-)
+TABLE3_SPECS = tuple(teh_spec(4, 4, cube_nodes) for cube_nodes in (8, 16, 32, 64))
 TABLE3_F_MAX = 9
+
+#: Each table id to the stem of its data files, named here only.
+TABLE_FILES = {1: "table1_links", 2: "table2_cost", 3: "table3_reliability"}
 
 
 class ComparisonRow(NamedTuple):
@@ -122,9 +122,10 @@ def table2_rows(
 
     The square convention reproduces the reference cells; the exact
     convention substitutes near-square power-of-two torus factorizations
-    and flags every cell that changes.
+    and flags every cell that changes.  An unknown ``convention`` raises
+    :class:`SpecError`.
     """
-    convention = DiameterConvention(convention)
+    convention = _member(DiameterConvention, convention, "diameter convention")
     rows = []
     for links_row in table1_rows():
         processors = links_row.processors
@@ -185,10 +186,10 @@ def scaling_sequence(
     raises the degree by one per step.
 
     Raises:
-        SpecError: If ``steps`` < 1.
+        SpecError: If ``mode`` names no mode, or ``steps`` < 1.
         ResourceLimitError: If a step would exceed ``node_cap``.
     """
-    mode = ScalingMode(mode)
+    mode = _member(ScalingMode, mode, "scaling mode")
     if steps < 1:
         raise SpecError(f"steps must be >= 1, got {steps}")
     out: list[NetworkSpec] = []
@@ -327,3 +328,23 @@ def reliability_output(
         [str(row.failures), *map(format_reliability_cell, row.cells)] for row in rows
     )
     return doc, csv_rows, _aligned(chain([["failures", *labels]], text), left=0)
+
+
+def render_table(
+    table_id: int,
+    fmt: str,
+    convention: DiameterConvention = DiameterConvention.SQUARE_APPROX,
+) -> str:
+    """Table ``table_id`` as the ``fmt`` output of :func:`render`, where
+    ``convention`` applies to table 2 only.  An id that is not a key of
+    :data:`TABLE_FILES` raises :class:`SpecError`."""
+    if table_id == 1:
+        output = comparison_output(table1_rows())
+    elif table_id == 2:
+        output = comparison_output(table2_rows(convention))
+    elif table_id == 3:
+        specs = list(TABLE3_SPECS)
+        output = reliability_output(specs, reliability_table(specs, TABLE3_F_MAX))
+    else:
+        raise SpecError(f"no table {table_id!r}; the tables are {sorted(TABLE_FILES)}")
+    return render(fmt, *output)

@@ -105,6 +105,14 @@ class NetworkSpec(NamedTuple):
         return f"({self.rows}, {self.cols}, {self.cube_nodes})"
 
 
+def _member(enum: type[Enum], value: object, what: str) -> Enum:
+    """``enum(value)``, or a :class:`SpecError` that names ``what``."""
+    try:
+        return enum(value)
+    except ValueError:
+        raise SpecError(f"unknown {what} {value!r}") from None
+
+
 def validate_spec(
     family: Family | str, rows: int = 1, cols: int = 1, cube_nodes: int = 1
 ) -> NetworkSpec:
@@ -125,10 +133,7 @@ def validate_spec(
         FamilyMismatchError: If a dimension is fixed by the family but
             not 1.
     """
-    try:
-        family = Family(family)
-    except ValueError:
-        raise SpecError(f"unknown family {family!r}") from None
+    family = _member(Family, family, "family")
     if not (type(rows) is int and type(cols) is int and type(cube_nodes) is int):
         raise SpecError(
             f"dimensions must be integers, got rows={rows!r} cols={cols!r} "

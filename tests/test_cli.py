@@ -418,9 +418,9 @@ class TestSelfCheck:
     def test_fails_on_corrupted_golden_data(self, monkeypatch):
         golden_text = selfcheck._golden_text
 
-        def corrupted(name):
-            text = golden_text(name)
-            return text.replace("20736", "20737") if name == "table2" else text
+        def corrupted(table_id):
+            text = golden_text(table_id)
+            return text.replace("20736", "20737") if table_id == 2 else text
 
         monkeypatch.setattr(selfcheck, "_golden_text", corrupted)
         code, out, _ = invoke("self-check", "--max-nodes", "128")

@@ -12,6 +12,7 @@ from strategies import SMALL_SPEC_IDS, SMALL_SPECS, small_specs
 from tehnet import (
     ClosedFormApproximationWarning,
     DiameterConvention,
+    SpecError,
     build_graph,
     diameter_bfs,
     diameter_closed,
@@ -151,6 +152,13 @@ class TestCost:
         assert report.convention is convention
         assert report == metrics_report(spec, convention)
         assert report.to_json_dict() == metrics_report(spec, convention).to_json_dict()
+
+    def test_unknown_convention(self):
+        # The typed error, not the enum's plain ValueError.
+        match = "^unknown diameter convention 'foo'$"
+        with pytest.raises(SpecError, match=match) as raised:
+            metrics_report(teh_spec(4, 4, 8), "foo")
+        assert raised.value.__suppress_context__
 
     def test_cost_is_links_times_diameter(self):
         for dims in [(3, 3, 4), (4, 4, 8), (16, 16, 4)]:

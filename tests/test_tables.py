@@ -9,6 +9,7 @@ from tehnet import (
     DiameterConvention,
     ResourceLimitError,
     ScalingMode,
+    SpecError,
     reliability_table,
     scaling_sequence,
     table1_rows,
@@ -23,6 +24,7 @@ from tehnet.tables import (
     TABLE3_SPECS,
     comparison_output,
     render,
+    render_table,
 )
 from tehnet.cli import run
 
@@ -90,6 +92,12 @@ class TestCostTable:
     def test_string_convention_equals_its_enum(self, convention):
         assert table2_rows(convention.value) == table2_rows(convention)
 
+    def test_unknown_convention(self):
+        match = "^unknown diameter convention 'foo'$"
+        with pytest.raises(SpecError, match=match) as raised:
+            table2_rows("foo")
+        assert raised.value.__suppress_context__
+
     def test_exact_convention_uses_rectangular_diameters(self):
         rows = table2_rows(DiameterConvention.EXACT)
         # 512-processor torus as 16x32: 2*512 links times diameter 8+16.
@@ -107,6 +115,10 @@ class TestReliabilityGrid:
         assert cells[(6, "(4, 4, 32)")] == 33.3
         assert cells[(8, "(4, 4, 8)")] is None
         assert cells[(7, "(4, 4, 16)")] == 12.5
+
+    def test_no_specs(self):
+        with pytest.raises(SpecError, match="^at least one spec is required$"):
+            reliability_table([], 3)
 
     def test_zero_diagonal(self):
         degrees = [spec.nominal_degree for spec in TABLE3_SPECS]
@@ -135,6 +147,11 @@ class TestScalingSequence:
     def test_steps_must_be_positive(self):
         with pytest.raises(ValueError):
             scaling_sequence(ScalingMode.EXPAND_TORUS, teh_spec(4, 4, 16), 0)
+
+    def test_unknown_mode(self):
+        with pytest.raises(SpecError, match="^unknown scaling mode 'cube'$") as raised:
+            scaling_sequence("cube", teh_spec(2, 2, 2), 1)
+        assert raised.value.__suppress_context__
 
     def test_node_cap(self):
         with pytest.raises(ResourceLimitError):
@@ -166,6 +183,12 @@ class TestScalingSequence:
         lines = out.getvalue().splitlines()
         assert lines[0].startswith("step,mode,family")
         assert lines[1] == "1,torus,teh,4,8,16,512,8,false"
+
+
+class TestRenderTable:
+    def test_unknown_id(self):
+        with pytest.raises(SpecError, match=r"^no table 4; the tables are \[1, 2, 3\]$"):
+            render_table(4, "csv")
 
 
 class TestRendering:
