@@ -8,7 +8,9 @@ embedded configurations appear alongside the basic networks: a fixed
 16-node hypercube.
 
 Every command's csv, json and text go through :func:`render`, which walks
-only the shape its format asks for; :func:`comparison_output` (tables 1-2)
+only the shape its format asks for, writes json with :func:`_json` (the bytes
+of ``json.dumps(doc, indent=2)``) and raises :class:`UnsupportedFormatError`
+for any other format; :func:`comparison_output` (tables 1-2)
 and :func:`reliability_output` (any reliability grid) build the shapes;
 :func:`render_table` is the one path from a table id to its bytes.
 
@@ -22,13 +24,13 @@ reference cells; neither reproduces the other row's non-square cells.
 
 from __future__ import annotations
 
-import json
 import math
 from enum import Enum
 from itertools import chain
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .errors import ResourceLimitError, SpecError
+from .errors import ResourceLimitError, SpecError, UnsupportedFormatError
 from .metrics import DiameterConvention, square_torus_diameter
 from .reliability import ReliabilityRow, reliability_table
 from .topology import (
@@ -216,19 +218,42 @@ def scaling_sequence(
     return out
 
 
+def _json(value: object, indent: str) -> str:
+    """Exactly ``json.dumps(value, indent=2)``, ``indent`` being the newline and
+    indentation of ``value``'s line; types are tested and rejected as json does."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return float.__repr__(value).replace("inf", "Infinity").replace("nan", "NaN")
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        items = [_json(item, inner) for item in value]
+        return f"[{inner}{(',' + inner).join(items)}{indent}]" if items else "[]"
+    if isinstance(value, dict):
+        items = [f"{_json_str(k)}: {_json(v, inner)}" for k, v in value.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}" if items else "{}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def render(
     fmt: str, doc: Callable[[], object], rows: Iterable, lines: Iterable[str]
 ) -> str:
-    """One command's stdout: ``doc()`` as indented json, ``rows`` (header
-    first) as csv with bools lower-cased, or ``lines`` as text.  Only the
-    shape ``fmt`` asks for is built; the result ends in one newline."""
+    """``doc()`` by :func:`_json` (the bytes of ``json.dumps(doc(), indent=2)``),
+    ``rows`` (header first) as csv with bools lower-cased, or ``lines`` as text, plus
+    a newline.  Only the ``fmt`` shape is built; others raise UnsupportedFormatError."""
     if fmt == "json":
-        return json.dumps(doc(), indent=2) + "\n"
+        return _json(doc(), "\n") + "\n"
     if fmt == "csv":
         lines = (
             ",".join([str(c).lower() if type(c) is bool else str(c) for c in row])
             for row in rows
         )
+    elif fmt != "text":
+        raise UnsupportedFormatError(f"unknown output format {fmt!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -108,7 +108,7 @@ class NetworkSpec(NamedTuple):
 def _member(enum: type[Enum], value: object, what: str) -> Enum:
     """``enum(value)``, or a :class:`SpecError` that names ``what``."""
     try:
-        return enum(value)
+        return value if type(value) is enum else enum(value)
     except ValueError:
         raise SpecError(f"unknown {what} {value!r}") from None
 

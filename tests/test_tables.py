@@ -1,15 +1,19 @@
 """Comparison datasets, scaling sequences, and their renderings."""
 
 import io
+import json
+from enum import Enum, IntEnum
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tehnet import (
     DiameterConvention,
     ResourceLimitError,
     ScalingMode,
     SpecError,
+    UnsupportedFormatError,
     reliability_table,
     scaling_sequence,
     table1_rows,
@@ -22,6 +26,7 @@ from tehnet.tables import (
     PROCESSOR_COUNTS,
     TABLE3_F_MAX,
     TABLE3_SPECS,
+    _json,
     comparison_output,
     render,
     render_table,
@@ -235,7 +240,61 @@ class TestRendering:
         )
         assert render(fmt, doc, rows, lines) == expected[fmt]
 
+    @pytest.mark.parametrize("fmt", ["xml", "JSON", ""])
+    def test_unknown_format(self, fmt):
+        def refuse(*_):
+            raise AssertionError("render built a shape for an unknown format")
+
+        message = f"^unknown output format {fmt!r}$"
+        with pytest.raises(UnsupportedFormatError, match=message):
+            render(fmt, refuse, map(refuse, [0]), map(refuse, [0]))
+        with pytest.raises(UnsupportedFormatError):
+            render_table(1, fmt)
+
     def test_json_rendering_is_deterministic(self):
         assert render("json", *comparison_output(table2_rows())) == render(
             "json", *comparison_output(table2_rows())
         )
+
+
+# Every value json writes: scalars (big ints, non-finite floats, non-ASCII
+# and control characters included) nested in lists, tuples and str-keyed
+# dicts, empty ones included.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.floats()
+    | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=20,
+)
+
+
+class Colour(str, Enum):
+    RED = "réd"
+
+
+class Level(IntEnum):
+    HIGH = 7
+
+
+class TestJsonWriter:
+    @given(JSON_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_dumps(self, doc):
+        assert _json(doc, "\n") == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [Colour.RED, Level.HIGH, {"colour": [Colour.RED], "level": (Level.HIGH,)}],
+    )
+    def test_enum_members_write_their_value(self, doc):
+        assert _json(doc, "\n") == json.dumps(doc, indent=2)
+
+    def test_set_raises(self):
+        message = "^Object of type set is not JSON serializable$"
+        with pytest.raises(TypeError, match=message):
+            _json({"a": [{1, 2}]}, "\n")
