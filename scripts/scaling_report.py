@@ -9,7 +9,13 @@ node gains a link), with the cost metrics at each step.
 
 import argparse
 
-from tehnet import ScalingMode, metrics_report, scaling_sequence, teh_spec
+from tehnet import (
+    ScalingMode,
+    TehnetError,
+    metrics_report,
+    scaling_sequence,
+    teh_spec,
+)
 
 
 def parse_dims(text: str) -> tuple[int, int, int]:
@@ -17,13 +23,13 @@ def parse_dims(text: str) -> tuple[int, int, int]:
     return rows, cols, cube
 
 
-def report(mode: ScalingMode, base, steps: int) -> None:
+def report(mode: ScalingMode, base, specs) -> None:
     print(f"mode: {mode.value} expansion")
     print(f"  base {base.label()}: nodes={base.node_count} "
           f"degree={base.nominal_degree}")
     rewire = ("rewires existing nodes" if mode is ScalingMode.EXPAND_HYPERCUBE
               else "existing nodes untouched")
-    for number, spec in enumerate(scaling_sequence(mode, base, steps), start=1):
+    for number, spec in enumerate(specs, start=1):
         m = metrics_report(spec)
         print(
             f"  step {number}: {spec.label()} nodes={m.node_count} "
@@ -39,9 +45,17 @@ def main() -> None:
                         help="base dimensions l,m,N")
     parser.add_argument("--steps", default=3, type=int)
     args = parser.parse_args()
-    base = teh_spec(*args.base)
-    report(ScalingMode.EXPAND_TORUS, base, args.steps)
-    report(ScalingMode.EXPAND_HYPERCUBE, base, args.steps)
+    # Both sequences are made before any output, so bad input ends in one
+    # usage error, not in a traceback after part of the report.
+    try:
+        base = teh_spec(*args.base)
+        sequences = {
+            mode: scaling_sequence(mode, base, args.steps) for mode in ScalingMode
+        }
+    except TehnetError as err:
+        parser.error(str(err))
+    for mode, specs in sequences.items():
+        report(mode, base, specs)
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from enum import Enum
 from functools import cached_property
+from itertools import product
 from typing import NamedTuple
 
 from .errors import (
@@ -215,7 +216,8 @@ class Topology(_TopologyFields):
 
     Edges are stored once, as (src, dst, kind) with src < dst, sorted
     lexicographically.  Instances are immutable and safe to share across
-    threads.  :attr:`adjacency` is cached in the instance dict.
+    threads.  :attr:`adjacency` and the exported node names are cached in
+    the instance dict, not in the fields: a ``_replace`` copy makes its own.
     """
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -235,6 +237,11 @@ class Topology(_TopologyFields):
             adj[src].append(dst)
             adj[dst].append(src)
         return tuple(map(tuple, adj))
+
+    @cached_property
+    def _names(self) -> list[str]:
+        """Each node index as text, shared by every export of this topology."""
+        return list(map(str, range(self.node_count)))
 
     def distances(self, source: int) -> list[int]:
         """Hop counts from ``source`` by breadth-first search over
@@ -281,6 +288,11 @@ def build_graph(spec: NetworkSpec, node_cap: int = DEFAULT_NODE_CAP) -> Topology
     way, and a complement of cube bit d (``hypercube_dim_<d>``).  Edges
     are undirected and de-duplicated, so a ring of 1 or 2 adds fewer.
 
+    A node's steps to higher-index neighbours depend only on its cube
+    label and on whether its row and column are first or last on their
+    rings, so each such class's step lists are made once.  Rows 0, 1 and
+    ``rows - 1`` are emitted from them; each row between is row 1 shifted.
+
     Raises:
         ResourceLimitError: If node_count exceeds ``node_cap``.
     """
@@ -293,9 +305,10 @@ def build_graph(spec: NetworkSpec, node_cap: int = DEFAULT_NODE_CAP) -> Topology
         [(1 << d, hypercube_kind(d)) for d in range(spec.cube_dim) if not c >> d & 1]
         for c in range(cube_nodes)
     ]
-    edges: list[tuple[int, int, str]] = []
-    for pos in range(rows * cols):
-        row, col = divmod(pos, cols)
+
+    def node_steps(row: int, col: int) -> list[list[tuple[int, str]]]:
+        """The steps of each cube node at (row, col)."""
+        pos = row * cols + col
         # A ring of 2 names one neighbour twice; a ring of 1 names pos.
         ring = {
             row * cols + (col + 1) % cols: TORUS_ROW,
@@ -308,11 +321,30 @@ def build_graph(spec: NetworkSpec, node_cap: int = DEFAULT_NODE_CAP) -> Topology
             for nbr, kind in sorted(ring.items())
             if nbr > pos
         ]
-        edges += [
-            (src, src + step, kind)
-            for src, steps in enumerate(cube_steps, pos * cube_nodes)
-            for step, kind in steps + ring_steps
-        ]
+        return [steps + ring_steps for steps in cube_steps]
+
+    def row_edges(row: int) -> list[tuple[int, int, str]]:
+        """Row ``row``'s edges; the columns between its ends share a class."""
+        ends = {0: node_steps(row, 0), cols - 1: node_steps(row, cols - 1)}
+        middle = node_steps(row, min(1, cols - 1))
+        out: list[tuple[int, int, str]] = []
+        for col in range(cols):
+            steps_of = ends.get(col, middle)
+            out += [
+                (src, src + step, kind)
+                for src, steps in enumerate(steps_of, (row * cols + col) * cube_nodes)
+                for step, kind in steps
+            ]
+        return out
+
+    edges = row_edges(0)
+    if rows > 2:
+        edges += (interior := row_edges(1))
+        shift = cols * cube_nodes
+        for offset in range(shift, (rows - 2) * shift, shift):
+            edges += [(src + offset, dst + offset, kind) for src, dst, kind in interior]
+    if rows > 1:
+        edges += row_edges(rows - 1)
     return Topology(spec=spec, edges=tuple(edges))
 
 
@@ -343,8 +375,7 @@ def export_topology(topology: Topology, format: str) -> bytes:
     if format not in ("csv", "json", "dot"):
         raise UnsupportedFormatError(f"unknown topology format {format!r}")
     spec, edges = topology.spec, topology.edges
-    # Each node index is turned into text once; the lines only look it up.
-    names = list(map(str, range(spec.node_count)))
+    names = topology._names
     if format == "csv":
         lines = ["src_index,dst_index,kind\n"]
         lines += [f"{names[src]},{names[dst]},{kind}\n" for src, dst, kind in edges]
@@ -380,15 +411,18 @@ def export_topology(topology: Topology, format: str) -> bytes:
     positions = [
         f"{row},{col}," for row in range(spec.rows) for col in range(spec.cols)
     ]
-    labels = [pos + cube for pos in positions for cube in names[: spec.cube_nodes]]
-    lines += [f'  {index} [label="{label}"];\n' for index, label in zip(names, labels)]
+    cubes = names[: spec.cube_nodes]
+    lines += [
+        f'  {index} [label="{pos}{cube}"];\n'
+        for index, (pos, cube) in zip(names, product(positions, cubes))
+    ]
     colors = _DOT_TORUS_COLORS | {
         hypercube_kind(d): _DOT_CUBE_PALETTE[d % len(_DOT_CUBE_PALETTE)]
         for d in range(spec.cube_dim)
     }
+    suffixes = {kind: f' [color="{color}"];\n' for kind, color in colors.items()}
     lines += [
-        f'  {names[src]} -- {names[dst]} [color="{colors[kind]}"];\n'
-        for src, dst, kind in edges
+        f"  {names[src]} -- {names[dst]}{suffixes[kind]}" for src, dst, kind in edges
     ]
     lines.append("}\n")
     return "".join(lines).encode()

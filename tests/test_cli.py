@@ -65,6 +65,12 @@ CLI_GOLDEN += [
     for fmt in _EXTENSIONS
 ]
 CLI_GOLDEN.append(("self_check.txt", ("self-check",)))
+CLI_GOLDEN += [
+    (f"export_teh_3_3_4.{fmt}",
+     ("export", "--family", "teh", "--l", "3", "--m", "3", "--cube", "4",
+      "--format", fmt))
+    for fmt in ("csv", "dot", "json")
+]
 
 
 def invoke(*argv):

@@ -19,6 +19,7 @@ from tehnet import (
     NodeAddress,
     Topology,
     build_graph,
+    export_topology,
     hypercube_spec,
     metrics_report,
     reliability_table,
@@ -135,6 +136,23 @@ def test_replaced_topology_gets_its_own_adjacency():
     assert copy.adjacency != original
     assert graph.adjacency is original
     assert graph.adjacency == build_graph(teh_spec(2, 2, 4)).adjacency
+
+
+def test_repeated_exports_match_a_fresh_topology():
+    spec = teh_spec(3, 3, 4)
+    graph = build_graph(spec)
+    before = repr(graph), hash(graph)
+    for fmt in ("csv", "dot", "json", "json", "dot", "csv"):
+        assert export_topology(graph, fmt) == export_topology(build_graph(spec), fmt)
+    assert (repr(graph), hash(graph)) == before
+    assert graph == build_graph(spec)
+    kept = graph.edges[1:]
+    copy = graph._replace(edges=kept)
+    rows = export_topology(copy, "csv").decode().splitlines()
+    assert "{},{},{}".format(*graph.edges[0]) not in rows
+    assert rows[1:] == ["{},{},{}".format(*edge) for edge in kept]
+    for fmt in ("csv", "dot", "json"):
+        assert export_topology(copy, fmt) == export_topology(Topology(spec, kept), fmt)
 
 
 _SRC = Path(__file__).parents[1] / "src"

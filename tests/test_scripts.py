@@ -62,3 +62,15 @@ def test_scaling_report_prints_both_modes():
     assert "mode: torus expansion" in result.stdout
     assert "mode: hypercube expansion" in result.stdout
     assert result.stdout.count("  step 1: ") == 2
+
+
+def test_scaling_report_rejects_bad_input_before_printing():
+    for argv, message in [
+        (("--base", "4,4,3"), "cube_nodes must be a power of two, got 3"),
+        (("--steps", "0"), "steps must be >= 1, got 0"),
+    ]:
+        result = run_script("scaling_report.py", *argv)
+        assert (result.returncode, result.stdout) == (2, ""), argv
+        assert result.stderr.splitlines()[1:] == [
+            f"scaling_report.py: error: {message}"
+        ], argv

@@ -268,8 +268,20 @@ def edges_by_neighbors(spec):
     return tuple(sorted(edges))
 
 
+#: Shapes past SMALL_SPECS: tall and wide tori, whose rows between the
+#: second and the last build_graph shifts from row 1, on rings of 1, 2, 3
+#: and 7, and the benchmark pool's long, square and wide-cube shapes.
+_TALL = {(l, m, n) for l in (7, 9, 12) for m in (1, 2, 3, 7) for n in (1, 2, 8)}
+_BUILD_DIMS = sorted(
+    _TALL | {(m, l, n) for l, m, n in _TALL}
+    | {(3, 384, 4), (384, 3, 4), (34, 34, 4), (3, 12, 128)}
+)
+BUILD_SPECS = SMALL_SPECS + [teh_spec(*dims) for dims in _BUILD_DIMS]
+BUILD_SPEC_IDS = SMALL_SPEC_IDS + ["teh-{}-{}-{}".format(*dims) for dims in _BUILD_DIMS]
+
+
 class TestBuildAndExportOracles:
-    @pytest.mark.parametrize("spec", SMALL_SPECS, ids=SMALL_SPEC_IDS)
+    @pytest.mark.parametrize("spec", BUILD_SPECS, ids=BUILD_SPEC_IDS)
     def test_edges_match_neighbor_union(self, spec):
         assert build_graph(spec).edges == edges_by_neighbors(spec)
 
