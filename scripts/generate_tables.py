@@ -38,7 +38,11 @@ def main() -> None:
     parser.add_argument("--out-dir", default="out", type=Path)
     args = parser.parse_args()
     out: Path = args.out_dir
-    out.mkdir(parents=True, exist_ok=True)
+    # An existing file, or a path under one, ends in one usage error.
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        parser.error(str(err))
 
     outputs = {
         f"{stem}.{suffix}": render_table(table_id, fmt)

@@ -34,13 +34,7 @@ from .reliability import (
     unreliability_percent,
 )
 from .routing import (
-    COL_MINUS,
-    COL_PLUS,
-    ROW_MINUS,
-    ROW_PLUS,
-    Move,
     Path,
-    cube_move,
     distance_closed,
     route,
 )
@@ -68,4 +62,4 @@ from .topology import (
     validate_spec,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

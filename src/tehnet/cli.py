@@ -134,7 +134,7 @@ def _cmd_metrics(args: SimpleNamespace) -> str:
 
 def _route_rows(path: Path) -> Iterator[tuple]:
     yield ("step", "move", "i", "j", "k")
-    moves = ["", *(move.label for move in path.moves)]
+    moves = ["", *path.moves]
     for step, (move, hop) in enumerate(zip(moves, path.hops)):
         yield (step, move, hop.row, hop.col, hop.cube)
 
@@ -144,7 +144,7 @@ def _route_lines(path: Path) -> Iterator[str]:
     yield f"route {spec.label()}: {start} -> {path.hops[-1]} length {path.length}"
     yield f"start {start} [k={_cube_bits(spec, start.cube)}]"
     for step, (move, hop) in enumerate(zip(path.moves, path.hops[1:]), start=1):
-        yield f"{step}. {move.label} -> {hop} [k={_cube_bits(spec, hop.cube)}]"
+        yield f"{step}. {move} -> {hop} [k={_cube_bits(spec, hop.cube)}]"
 
 
 def _cmd_route(args: SimpleNamespace) -> str:

@@ -1,11 +1,12 @@
-"""Elementary moves and shortest-path routing.
+"""Shortest-path routing, as a sequence of elementary move labels.
 
 Five elementary moves generate every edge: a torus step in either
-direction along the column or row ring, and a single-bit complement of
-the hypercube label.  The point-to-point router composes them in a fixed
-order (column steps, then row steps, then cube bits ascending), which
-always yields a shortest path because the ring and cube coordinates are
-independent.
+direction along the column or row ring (``col_plus``, ``col_minus``,
+``row_plus``, ``row_minus``), and a single-bit complement of the
+hypercube label (``cube_dim_<d>``).  The point-to-point router composes
+them in a fixed order (column steps, then row steps, then cube bits
+ascending), which always yields a shortest path because the ring and
+cube coordinates are independent.
 """
 
 from __future__ import annotations
@@ -16,32 +17,9 @@ from typing import NamedTuple
 from .topology import NetworkSpec, NodeAddress, check_address
 
 
-class Move(NamedTuple):
-    """One elementary move.
-
-    ``kind`` is one of ``row_plus``, ``row_minus``, ``col_plus``,
-    ``col_minus``, or ``cube``; ``dim`` is the bit index for cube moves
-    and -1 otherwise.
-    """
-
-    kind: str
-    dim: int = -1
-
-    @property
-    def label(self) -> str:
-        """Serialized name, e.g. ``col_plus`` or ``cube_dim_2``."""
-        return f"cube_dim_{self.dim}" if self.kind == "cube" else self.kind
-
-
-ROW_PLUS = Move("row_plus")
-ROW_MINUS = Move("row_minus")
-COL_PLUS = Move("col_plus")
-COL_MINUS = Move("col_minus")
-
-
 @functools.cache
-def cube_move(dim: int) -> Move:
-    return Move("cube", dim)
+def _cube_label(dim: int) -> str:
+    return f"cube_dim_{dim}"
 
 
 def distance_closed(spec: NetworkSpec, a: NodeAddress, b: NodeAddress) -> int:
@@ -71,11 +49,16 @@ def distance_closed(spec: NetworkSpec, a: NodeAddress, b: NodeAddress) -> int:
 
 
 class Path(NamedTuple):
-    """A hop-by-hop route: ``len(moves) == len(hops) - 1``."""
+    """A hop-by-hop route: ``len(moves) == len(hops) - 1``.
+
+    Each move is its label: ``col_plus``, ``col_minus``, ``row_plus``,
+    ``row_minus``, or ``cube_dim_<d>`` for the complement of cube bit
+    ``d``.
+    """
 
     spec: NetworkSpec
     hops: tuple[NodeAddress, ...]
-    moves: tuple[Move, ...]
+    moves: tuple[str, ...]
 
     @property
     def length(self) -> int:
@@ -88,7 +71,7 @@ class Path(NamedTuple):
             "m": self.spec.cols,
             "n_cube_nodes": self.spec.cube_nodes,
             "hops": [str(hop) for hop in self.hops],
-            "moves": [move.label for move in self.moves],
+            "moves": list(self.moves),
             "length": self.length,
         }
 
@@ -124,10 +107,10 @@ def route(spec: NetworkSpec, src: NodeAddress, dst: NodeAddress) -> Path:
         count = (dst_col - col) % cols
         if count <= cols - count:
             step = 1
-            moves += [COL_PLUS] * count
+            moves += ["col_plus"] * count
         else:
             step, count = -1, cols - count
-            moves += [COL_MINUS] * count
+            moves += ["col_minus"] * count
         for _ in range(count):
             col = (col + step) % cols
             hops.append(_hop((row, col, cube)))
@@ -135,10 +118,10 @@ def route(spec: NetworkSpec, src: NodeAddress, dst: NodeAddress) -> Path:
         count = (dst_row - row) % rows
         if count <= rows - count:
             step = 1
-            moves += [ROW_PLUS] * count
+            moves += ["row_plus"] * count
         else:
             step, count = -1, rows - count
-            moves += [ROW_MINUS] * count
+            moves += ["row_minus"] * count
         for _ in range(count):
             row = (row + step) % rows
             hops.append(_hop((row, col, cube)))
@@ -148,6 +131,6 @@ def route(spec: NetworkSpec, src: NodeAddress, dst: NodeAddress) -> Path:
         low = diff & -diff
         diff ^= low
         cube ^= low
-        moves.append(cube_move(low.bit_length() - 1))
+        moves.append(_cube_label(low.bit_length() - 1))
         hops.append(_hop((row, col, cube)))
     return tuple.__new__(Path, (spec, tuple(hops), tuple(moves)))

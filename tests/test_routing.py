@@ -7,16 +7,12 @@ from hypothesis import given, strategies as st
 from bruteforce import adjacency_by_enumeration, apply_move, bfs_dist, route_by_moves
 from strategies import SMALL_SPEC_IDS, SMALL_SPECS, spec_with_addresses
 from tehnet import (
-    COL_PLUS,
-    ROW_PLUS,
     AddressOutOfRangeError,
     IndexOutOfRangeError,
-    Move,
     NodeAddress,
     Path,
     Topology,
     build_graph,
-    cube_move,
     decode_address,
     diameter_closed,
     distance_closed,
@@ -30,13 +26,6 @@ from tehnet import (
 def shape(spec):
     """(rows, cols, cube_nodes): the oracle functions' first arguments."""
     return spec.rows, spec.cols, spec.cube_nodes
-
-
-def move_named(label):
-    """The Move whose label is ``label``, built by its constructor."""
-    if label.startswith("cube_dim_"):
-        return Move(kind="cube", dim=int(label.removeprefix("cube_dim_")))
-    return Move(kind=label)
 
 
 class TestApplyMove:
@@ -186,7 +175,7 @@ class TestRoute:
     def test_fixed_move_order(self):
         # Columns first, then rows, then cube bits ascending.
         path = route(teh_spec(2, 2, 8), NodeAddress(0, 0, 0), NodeAddress(1, 1, 5))
-        assert [move.label for move in path.moves] == [
+        assert list(path.moves) == [
             "col_plus",
             "row_plus",
             "cube_dim_0",
@@ -195,11 +184,11 @@ class TestRoute:
 
     def test_takes_shorter_wrap_direction(self):
         path = route(teh_spec(4, 4, 2), NodeAddress(0, 3, 0), NodeAddress(0, 0, 0))
-        assert path.moves == (COL_PLUS,)
+        assert path.moves == ("col_plus",)
 
     def test_half_ring_tie_goes_forward(self):
         path = route(teh_spec(4, 4, 2), NodeAddress(0, 0, 0), NodeAddress(2, 0, 0))
-        assert path.moves == (ROW_PLUS, ROW_PLUS)
+        assert path.moves == ("row_plus", "row_plus")
 
     def test_deterministic(self):
         spec = teh_spec(3, 5, 8)
@@ -214,7 +203,7 @@ class TestRoute:
         assert path.hops[-1] == dst
         assert len(path.hops) == len(path.moves) + 1
         for hop, move, nxt in zip(path.hops, path.moves, path.hops[1:]):
-            assert apply_move(*shape(spec), tuple(hop), move.label) == tuple(nxt)
+            assert apply_move(*shape(spec), tuple(hop), move) == tuple(nxt)
         assert len(set(path.hops)) == len(path.hops)
         assert path.length == distance_closed(spec, src, dst)
         assert path.length <= diameter_closed(spec)
@@ -227,7 +216,7 @@ class TestRoute:
                 path = route(spec, src, dst)
                 hops, labels = route_by_moves(*shape(spec), tuple(src), tuple(dst))
                 assert [(h.row, h.col, h.cube) for h in path.hops] == hops
-                assert [move.label for move in path.moves] == labels
+                assert list(path.moves) == labels
                 # The router builds its records without their constructors;
                 # they must still be exactly the keyword-built ones.
                 assert type(path) is Path
@@ -235,14 +224,14 @@ class TestRoute:
                 assert path == Path(
                     spec=spec,
                     hops=tuple(NodeAddress(*hop) for hop in hops),
-                    moves=tuple(map(move_named, labels)),
+                    moves=tuple(labels),
                 )
 
     def test_flips_only_the_differing_cube_bits(self):
         spec = hypercube_spec(1 << 20)
         dst = NodeAddress(0, 0, 1 | 1 << 5 | 1 << 19)
         path = route(spec, NodeAddress(0, 0, 0), dst)
-        assert [move.label for move in path.moves] == [
+        assert list(path.moves) == [
             "cube_dim_0",
             "cube_dim_5",
             "cube_dim_19",
@@ -260,10 +249,11 @@ class TestRoute:
             path = route(spec, src, dst)
             hops, labels = route_by_moves(*shape(spec), tuple(src), tuple(dst))
             assert [tuple(hop) for hop in path.hops] == hops
-            assert [move.label for move in path.moves] == labels
+            assert list(path.moves) == labels
 
-    def test_cube_moves_are_shared(self):
-        assert cube_move(3) is cube_move(3)
+    def test_moves_are_their_labels(self):
+        path = route(teh_spec(4, 4, 8), NodeAddress(0, 0, 0), NodeAddress(1, 1, 1))
+        assert path.moves == ("col_plus", "row_plus", "cube_dim_0")
 
     def test_json_serialization(self):
         path = route(teh_spec(2, 2, 8), NodeAddress(0, 0, 0), NodeAddress(1, 1, 5))

@@ -56,6 +56,19 @@ def test_generate_tables_reproduces_shipped_tables(tmp_path):
     assert (tmp_path / "table3_reliability.json").read_text() == table3_json.getvalue()
 
 
+def test_generate_tables_rejects_an_out_dir_it_cannot_make(tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out_dir in (taken, taken / "sub"):
+        result = run_script("generate_tables.py", "--out-dir", str(out_dir))
+        assert (result.returncode, result.stdout) == (2, ""), out_dir
+        usage, error = result.stderr.splitlines()[-2:]
+        assert usage.startswith("usage: generate_tables.py"), out_dir
+        assert error.startswith("generate_tables.py: error: "), out_dir
+        assert str(out_dir) in error, out_dir
+    assert taken.read_text() == ""
+
+
 def test_scaling_report_prints_both_modes():
     result = run_script("scaling_report.py", "--steps", "1")
     assert result.returncode == 0, result.stderr
