@@ -2,10 +2,7 @@
 
 Three reference datasets compare the families at processor counts 512
 through 16384: total links (table 1), topological cost (table 2), and
-the reliability grid for the (4, 4, N) scale-up series (table 3).  Two
-embedded configurations appear alongside the basic networks: a fixed
-16 x 16 torus with a growing hypercube, and a growing torus with a fixed
-16-node hypercube.
+the reliability grid for the (4, 4, N) scale-up series (table 3).
 
 Every command's csv, json and text go through :func:`render`, which walks
 only the shape its format asks for, writes json with :func:`_json` (the bytes
@@ -14,12 +11,17 @@ for any other format; :func:`comparison_output` (tables 1-2)
 and :func:`reliability_output` (any reliability grid) build the shapes;
 :func:`render_table` is the one path from a table id to its bytes.
 
-The cost table quotes torus parts by node count only, so a square-ish
-diameter convention is needed.  The torus row follows
-:func:`tehnet.metrics.square_torus_diameter` (isqrt rounded down to
-even); the grown-torus embedded row rounds the square root to the
-*nearest* even integer instead.  Each rule matches all six of its row's
-reference cells; neither reproduces the other row's non-square cells.
+A column of tables 1 and 2 holds four networks of P processors: the
+hypercube, the torus as a near-square power-of-two split (16 x 32 at 512),
+teh(16, 16, P/256) with its growing hypercube, and teh(l, m, 16) with its
+growing torus, l x m being the same split of P/16.  A table-1 cell is
+:func:`tehnet.metrics.link_count_closed` of its network, a table-2 cell
+``metrics_report(spec, convention).cost``, with one override.  The square
+convention follows the reference, which quotes torus parts by node count
+only (isqrt rounded down to even); its grown-torus row rounds the square
+root to the *nearest* even integer instead.  Each rule matches all six of
+its row's reference cells; neither reproduces the other row's non-square
+cells.
 """
 
 from __future__ import annotations
@@ -31,14 +33,16 @@ from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import ResourceLimitError, SpecError, UnsupportedFormatError
-from .metrics import DiameterConvention, square_torus_diameter
+from .metrics import DiameterConvention, link_count_closed, metrics_report
 from .reliability import ReliabilityRow, reliability_table
 from .topology import (
     DEFAULT_NODE_CAP,
     Family,
     NetworkSpec,
     _member,
+    hypercube_spec,
     teh_spec,
+    torus_spec,
     validate_spec,
 )
 
@@ -93,28 +97,40 @@ def _pow2_split(node_count: int) -> tuple[int, int]:
     return 1 << (exponent // 2), 1 << (exponent - exponent // 2)
 
 
-def _hypercube_links(processors: int) -> int:
-    return processors * (processors.bit_length() - 1) // 2
+#: Each processor count with the network behind each of its cells.
+_COLUMNS = tuple(
+    (
+        processors,
+        {
+            "hypercube": hypercube_spec(processors),
+            "torus": torus_spec(*_pow2_split(processors)),
+            "teh_16_16_N": teh_spec(16, 16, processors // 256),
+            "teh_lm_16": teh_spec(*_pow2_split(processors // 16), 16),
+        },
+    )
+    for processors in PROCESSOR_COUNTS
+)
+
+
+def _square_cost(key: str, spec: NetworkSpec) -> int:
+    if key == "teh_lm_16":
+        # The one reference rule metrics lacks: the torus part's root
+        # rounded to the nearest even integer, not down to even.
+        root = _nearest_even_root(spec.rows * spec.cols)
+        return link_count_closed(spec) * (root + spec.cube_dim)
+    return metrics_report(spec, DiameterConvention.SQUARE_APPROX).cost
 
 
 def table1_rows() -> list[ComparisonRow]:
     """Total-links comparison: six processor counts, four networks."""
-    rows = []
-    for processors in PROCESSOR_COUNTS:
-        cube_nodes = processors // 256
-        rows.append(
-            ComparisonRow(
-                processors=processors,
-                values={
-                    "hypercube": _hypercube_links(processors),
-                    "torus": 2 * processors,
-                    "teh_16_16_N": processors * (4 + cube_nodes.bit_length() - 1) // 2,
-                    "teh_lm_16": 4 * processors,
-                },
-                teh_16_16_cube_nodes=cube_nodes,
-            )
+    return [
+        ComparisonRow(
+            processors=processors,
+            values={key: link_count_closed(spec) for key, spec in specs.items()},
+            teh_16_16_cube_nodes=specs["teh_16_16_N"].cube_nodes,
         )
-    return rows
+        for processors, specs in _COLUMNS
+    ]
 
 
 def table2_rows(
@@ -123,45 +139,25 @@ def table2_rows(
     """Topological-cost comparison under the selected diameter convention.
 
     The square convention reproduces the reference cells; the exact
-    convention substitutes near-square power-of-two torus factorizations
-    and flags every cell that changes.  An unknown ``convention`` raises
-    :class:`SpecError`.
+    convention takes each network's exact diameter and flags every cell
+    that changes.  An unknown ``convention`` raises :class:`SpecError`.
     """
     convention = _member(DiameterConvention, convention, "diameter convention")
     rows = []
-    for links_row in table1_rows():
-        processors = links_row.processors
-        links = links_row.values
-        cube_dim = processors.bit_length() - 1
-        embed_dim = links_row.teh_16_16_cube_nodes.bit_length() - 1
-        torus_part = processors // 16
-
-        square = {
-            "hypercube": links["hypercube"] * cube_dim,
-            "torus": links["torus"] * square_torus_diameter(processors),
-            "teh_16_16_N": links["teh_16_16_N"] * (16 + embed_dim),
-            "teh_lm_16": links["teh_lm_16"] * (_nearest_even_root(torus_part) + 4),
-        }
-        if convention is DiameterConvention.SQUARE_APPROX:
-            values, flagged = square, frozenset()
-        else:
-            t_rows, t_cols = _pow2_split(processors)
-            e_rows, e_cols = _pow2_split(torus_part)
+    for processors, specs in _COLUMNS:
+        square = {key: _square_cost(key, spec) for key, spec in specs.items()}
+        values = square
+        if convention is DiameterConvention.EXACT:
             values = {
-                "hypercube": square["hypercube"],
-                "torus": links["torus"] * (t_rows // 2 + t_cols // 2),
-                "teh_16_16_N": square["teh_16_16_N"],
-                "teh_lm_16": links["teh_lm_16"] * (e_rows // 2 + e_cols // 2 + 4),
+                key: metrics_report(spec, convention).cost
+                for key, spec in specs.items()
             }
-            flagged = frozenset(
-                key for key in NETWORK_KEYS if values[key] != square[key]
-            )
         rows.append(
             ComparisonRow(
                 processors=processors,
                 values=values,
-                teh_16_16_cube_nodes=links_row.teh_16_16_cube_nodes,
-                flagged=flagged,
+                teh_16_16_cube_nodes=specs["teh_16_16_N"].cube_nodes,
+                flagged=frozenset(k for k in NETWORK_KEYS if values[k] != square[k]),
             )
         )
     return rows
@@ -362,14 +358,14 @@ def render_table(
 ) -> str:
     """Table ``table_id`` as the ``fmt`` output of :func:`render`, where
     ``convention`` applies to table 2 only.  An id that is not a key of
-    :data:`TABLE_FILES` raises :class:`SpecError`."""
+    :data:`TABLE_FILES` (an ``int``, not a ``bool``) raises :class:`SpecError`."""
+    if type(table_id) is not int or table_id not in TABLE_FILES:
+        raise SpecError(f"no table {table_id!r}; the tables are {sorted(TABLE_FILES)}")
     if table_id == 1:
         output = comparison_output(table1_rows())
     elif table_id == 2:
         output = comparison_output(table2_rows(convention))
-    elif table_id == 3:
+    else:
         specs = list(TABLE3_SPECS)
         output = reliability_output(specs, reliability_table(specs, TABLE3_F_MAX))
-    else:
-        raise SpecError(f"no table {table_id!r}; the tables are {sorted(TABLE_FILES)}")
     return render(fmt, *output)

@@ -196,10 +196,11 @@ def encode_address(spec: NetworkSpec, addr: NodeAddress) -> int:
 
 
 def decode_address(spec: NetworkSpec, index: int) -> NodeAddress:
-    """Inverse of :func:`encode_address`."""
-    if not 0 <= index < spec.node_count:
+    """Inverse of :func:`encode_address`; an ``index`` that is not an
+    ``int`` node index (a ``bool`` is not) raises IndexOutOfRangeError."""
+    if type(index) is not int or not 0 <= index < spec.node_count:
         raise IndexOutOfRangeError(
-            f"index {index} outside 0..{spec.node_count - 1}"
+            f"index {index!r} outside 0..{spec.node_count - 1}"
         )
     torus_pos, cube = divmod(index, spec.cube_nodes)
     row, col = divmod(torus_pos, spec.cols)
@@ -248,13 +249,13 @@ class Topology(_TopologyFields):
         :attr:`adjacency`, -1 for nodes it does not reach.
 
         Raises:
-            IndexOutOfRangeError: If ``source`` is not a node index.
+            IndexOutOfRangeError: If ``source`` is not an ``int`` node index.
         """
-        adjacency = self.adjacency
-        if not 0 <= source < len(adjacency):
+        if type(source) is not int or not 0 <= source < self.node_count:
             raise IndexOutOfRangeError(
-                f"source {source} outside 0..{len(adjacency) - 1}"
+                f"source {source!r} outside 0..{self.node_count - 1}"
             )
+        adjacency = self.adjacency
         dist = [-1] * len(adjacency)
         dist[source] = 0
         frontier = [source]

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 from enum import Enum, IntEnum
 from pathlib import Path
 
@@ -14,6 +15,8 @@ from tehnet import (
     ScalingMode,
     SpecError,
     UnsupportedFormatError,
+    build_graph,
+    diameter_bfs,
     reliability_table,
     scaling_sequence,
     table1_rows,
@@ -26,6 +29,7 @@ from tehnet.tables import (
     PROCESSOR_COUNTS,
     TABLE3_F_MAX,
     TABLE3_SPECS,
+    _COLUMNS,
     _json,
     comparison_output,
     render,
@@ -107,6 +111,22 @@ class TestCostTable:
         rows = table2_rows(DiameterConvention.EXACT)
         # 512-processor torus as 16x32: 2*512 links times diameter 8+16.
         assert rows[0].values["torus"] == 1024 * 24
+
+
+class TestCellsAgainstGraphs:
+    @pytest.mark.parametrize("column", range(len(PROCESSOR_COUNTS)))
+    def test_cells_match_the_built_graph(self, column):
+        links_row = table1_rows()[column]
+        cost_row = table2_rows(DiameterConvention.EXACT)[column]
+        processors, specs = _COLUMNS[column]
+        assert list(specs) == list(NETWORK_KEYS)
+        assert links_row.teh_16_16_cube_nodes == specs["teh_16_16_N"].cube_nodes
+        for key, spec in specs.items():
+            graph = build_graph(spec)
+            assert graph.node_count == processors
+            links = len(graph.edges)
+            assert links_row.values[key] == links
+            assert cost_row.values[key] == links * diameter_bfs(graph)
 
 
 class TestReliabilityGrid:
@@ -192,8 +212,11 @@ class TestScalingSequence:
 
 class TestRenderTable:
     def test_unknown_id(self):
-        with pytest.raises(SpecError, match=r"^no table 4; the tables are \[1, 2, 3\]$"):
-            render_table(4, "csv")
+        # Only an int key is a table id: True and 1.0 compare equal to 1.
+        for table_id in (4, 0, True, 1.0, "1"):
+            match = rf"^no table {re.escape(repr(table_id))}; the tables are \[1, 2, 3\]$"
+            with pytest.raises(SpecError, match=match):
+                render_table(table_id, "csv")
 
 
 class TestRendering:

@@ -1,6 +1,7 @@
 """Specs, addressing, the neighbour oracle, graph construction, export."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -103,10 +104,11 @@ class TestAddressing:
                 encode_address(spec, NodeAddress(*bad))
 
     def test_out_of_range_index(self):
-        with pytest.raises(IndexOutOfRangeError):
-            decode_address(teh_spec(2, 2, 8), 32)
-        with pytest.raises(IndexOutOfRangeError):
-            decode_address(teh_spec(2, 2, 8), -1)
+        # Only an int is a node index: 1.5 and 1.0 divide, and a bool is 0 or 1.
+        for index in (32, -1, 1.5, 1.0, True, False, "1", None):
+            match = f"^index {re.escape(repr(index))} outside 0\\.\\.31$"
+            with pytest.raises(IndexOutOfRangeError, match=match):
+                decode_address(teh_spec(2, 2, 8), index)
 
     @given(small_specs(), st.data())
     def test_encode_decode_round_trip(self, spec, data):
@@ -190,6 +192,14 @@ class TestBuildGraph:
         topology = Topology(spec=torus_spec(1, 5), edges=((0, 1, "x"), (1, 2, "x")))
         assert topology.distances(0) == [0, 1, 2, -1, -1]
         assert topology.distances(3) == [-1, -1, -1, 0, -1]
+
+    @pytest.mark.parametrize("source", [1.5, 1.0, True, False, "1", None, -1, 8])
+    def test_distances_reject_a_non_index_before_any_work(self, source):
+        topology = build_graph(teh_spec(2, 2, 2))
+        match = f"^source {re.escape(repr(source))} outside 0\\.\\.7$"
+        with pytest.raises(IndexOutOfRangeError, match=match):
+            topology.distances(source)
+        assert "adjacency" not in vars(topology)
 
     @given(small_specs(max_rows=4, max_cols=4, cube_sizes=(1, 2, 4, 8)), st.data())
     def test_vertex_transitivity(self, spec, data):
