@@ -4,7 +4,6 @@ routing, cost metrics, reliability analysis, and comparison datasets."""
 
 from .errors import (
     AddressOutOfRangeError,
-    ClosedFormApproximationWarning,
     CountOutOfRangeError,
     FamilyMismatchError,
     IndexOutOfRangeError,
@@ -62,4 +61,4 @@ from .topology import (
     validate_spec,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import functools
 import sys
-import warnings
 from types import SimpleNamespace
 from typing import IO, Callable, Iterator, NamedTuple, Sequence
 
-from .errors import ClosedFormApproximationWarning, ResourceLimitError, TehnetError
+from .errors import ResourceLimitError, TehnetError
 from .metrics import (
     DiameterConvention,
     link_count_simple,
@@ -117,19 +116,14 @@ def _cube_bits(spec: NetworkSpec, cube: int) -> str:
 
 def _cmd_metrics(args: SimpleNamespace) -> str:
     spec = _spec_from_args(args)
-    convention = _CONVENTIONS[args.convention]
-    if simple_degree(spec) == spec.nominal_degree:
-        return _record(metrics_report(spec, convention).to_json_dict(), args.format)
-    # A ring of fewer than 3 nodes: the closed link count warns, and the
-    # note below says the same on stdout.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ClosedFormApproximationWarning)
-        report = metrics_report(spec, convention)
-    note = (
-        f"note: links counts coincident ring links twice; the simple "
-        f"graph has {link_count_simple(spec)}"
-    )
-    return _record(report.to_json_dict(), args.format, [note])
+    report = metrics_report(spec, _CONVENTIONS[args.convention])
+    notes = []
+    if simple_degree(spec) != spec.nominal_degree:
+        notes.append(
+            f"note: links counts coincident ring links twice; the simple "
+            f"graph has {link_count_simple(spec)}"
+        )
+    return _record(report.to_json_dict(), args.format, notes)
 
 
 def _route_rows(path: Path) -> Iterator[tuple]:

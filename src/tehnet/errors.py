@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class TehnetError(Exception):
@@ -43,12 +43,3 @@ class TooManyFaultsError(TehnetError, ValueError):
 
 class CountOutOfRangeError(TehnetError, ValueError):
     """A fault or trial count is below its lower bound."""
-
-
-class ClosedFormApproximationWarning(UserWarning):
-    """A closed-form result is only approximate for the given dimensions.
-
-    Emitted when a torus dimension is below 3: wraparound and step links
-    coincide there, so the simple graph has fewer links than the closed
-    form counts.
-    """

@@ -19,11 +19,9 @@ Two diameter conventions exist for networks with a torus part:
 from __future__ import annotations
 
 import math
-import warnings
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import ClosedFormApproximationWarning
 from .topology import Family, NetworkSpec, Topology, _member
 
 
@@ -65,30 +63,14 @@ def simple_degree(spec: NetworkSpec) -> int:
     return min(spec.rows - 1, 2) + min(spec.cols - 1, 2) + spec.cube_dim
 
 
-def _warn_if_approximate(spec: NetworkSpec) -> None:
-    if simple_degree(spec) != spec.nominal_degree:
-        warnings.warn(
-            f"closed-form link count for {spec.label()} counts coincident "
-            f"ring links twice; the simple graph has {link_count_simple(spec)} "
-            f"links, the closed form {_closed_links(spec)}",
-            ClosedFormApproximationWarning,
-            stacklevel=3,
-        )
-
-
-def _closed_links(spec: NetworkSpec) -> int:
-    return spec.node_count * spec.nominal_degree // 2
-
-
 def link_count_closed(spec: NetworkSpec) -> int:
-    """Total links in closed form: node_count * degree / 2.
+    """The paper's nominal link count, node_count * nominal_degree / 2.
 
-    Exact for rows, cols >= 3 (and for pure hypercubes); otherwise a
-    :class:`ClosedFormApproximationWarning` is emitted because rings of
-    size 2 collapse their two parallel links into one.
+    It counts two links per node on each ring, so it is above
+    :func:`link_count_simple` exactly when a ring has fewer than 3 nodes,
+    that is when :func:`simple_degree` is below ``spec.nominal_degree``.
     """
-    _warn_if_approximate(spec)
-    return _closed_links(spec)
+    return spec.node_count * spec.nominal_degree // 2
 
 
 def link_count_simple(spec: NetworkSpec) -> int:

@@ -32,10 +32,12 @@ def distance_closed(spec: NetworkSpec, a: NodeAddress, b: NodeAddress) -> int:
     b_row, b_col, b_cube = b.row, b.col, b.cube
     rows, cols, cube_nodes = spec.rows, spec.cols, spec.cube_nodes
     if not (
-        0 <= a_row < rows and 0 <= a_col < cols and 0 <= a_cube < cube_nodes
+        type(a_row) is int and type(a_col) is int and type(a_cube) is int
+        and type(b_row) is int and type(b_col) is int and type(b_cube) is int
+        and 0 <= a_row < rows and 0 <= a_col < cols and 0 <= a_cube < cube_nodes
         and 0 <= b_row < rows and 0 <= b_col < cols and 0 <= b_cube < cube_nodes
     ):
-        # One of these raises, for a when both are out of range.
+        # One of these raises, for a when both are bad.
         check_address(spec, a)
         check_address(spec, b)
     # A ring's distance is the shorter of the two ways round it.
@@ -90,10 +92,12 @@ def route(spec: NetworkSpec, src: NodeAddress, dst: NodeAddress) -> Path:
     dst_row, dst_col, dst_cube = dst.row, dst.col, dst.cube
     rows, cols, cube_nodes = spec.rows, spec.cols, spec.cube_nodes
     if not (
-        0 <= row < rows and 0 <= col < cols and 0 <= cube < cube_nodes
+        type(row) is int and type(col) is int and type(cube) is int
+        and type(dst_row) is int and type(dst_col) is int and type(dst_cube) is int
+        and 0 <= row < rows and 0 <= col < cols and 0 <= cube < cube_nodes
         and 0 <= dst_row < rows and 0 <= dst_col < cols and 0 <= dst_cube < cube_nodes
     ):
-        # One of these raises, for src when both are out of range.
+        # One of these raises, for src when both are bad.
         check_address(spec, src)
         check_address(spec, dst)
     # Each hop is made from the running coordinates, already in range, so

@@ -14,7 +14,6 @@ hypercube group of ``cube_nodes`` nodes contiguous.
 
 from __future__ import annotations
 
-import json
 from enum import Enum
 from functools import cached_property
 from itertools import product
@@ -177,15 +176,16 @@ def teh_spec(rows: int, cols: int, cube_nodes: int) -> NetworkSpec:
 
 
 def check_address(spec: NetworkSpec, addr: NodeAddress) -> None:
-    """Raise AddressOutOfRangeError unless ``addr`` is valid for ``spec``."""
+    """Raise AddressOutOfRangeError unless ``addr`` is valid for ``spec``:
+    each field an ``int`` (a ``bool`` is not) within its bound."""
+    row, col, cube = addr.row, addr.col, addr.cube
     if not (
-        0 <= addr.row < spec.rows
-        and 0 <= addr.col < spec.cols
-        and 0 <= addr.cube < spec.cube_nodes
+        type(row) is int and type(col) is int and type(cube) is int
+        and 0 <= row < spec.rows
+        and 0 <= col < spec.cols
+        and 0 <= cube < spec.cube_nodes
     ):
-        raise AddressOutOfRangeError(
-            f"address {addr} out of range for {spec.label()}"
-        )
+        raise AddressOutOfRangeError(f"address {addr} out of range for {spec.label()}")
 
 
 def encode_address(spec: NetworkSpec, addr: NodeAddress) -> int:
@@ -382,30 +382,24 @@ def export_topology(topology: Topology, format: str) -> bytes:
         lines += [f"{names[src]},{names[dst]},{kind}\n" for src, dst, kind in edges]
         return "".join(lines).encode()
     if format == "json":
-        header = json.dumps(
-            {
-                "family": spec.family.value,
-                "l": spec.rows,
-                "m": spec.cols,
-                "n_cube_nodes": spec.cube_nodes,
-                "node_count": spec.node_count,
-                "edges": [],
-            },
-            indent=2,
+        # Written directly in json.dumps' indent=2 layout; the family and the
+        # kinds are plain identifiers, which JSON quotes without escaping.
+        # Each edge item starts with its separator, and the first one drops
+        # the comma.
+        head = (
+            f'{{\n  "family": "{spec.family.value}",\n  "l": {spec.rows},\n'
+            f'  "m": {spec.cols},\n  "n_cube_nodes": {spec.cube_nodes},\n'
+            f'  "node_count": {spec.node_count},\n  "edges": ['
         )
         if not edges:
-            return (header + "\n").encode()
-        # The edges, written directly in json.dumps' indent=2 layout; kinds
-        # are plain identifiers, which JSON quotes without escaping.  Each
-        # item starts with its separator, and the first one drops the comma.
-        head, tail = header.split('"edges": []')
+            return (head + "]\n}\n").encode()
         items = [
             f',\n    {{\n      "src": {names[src]},\n      "dst": {names[dst]},\n'
             f'      "kind": "{kind}"\n    }}'
             for src, dst, kind in edges
         ]
         items[0] = items[0][1:]
-        return "".join([head, '"edges": [', *items, "\n  ]", tail, "\n"]).encode()
+        return "".join([head, *items, "\n  ]\n}\n"]).encode()
     # The format is dot.
     name = f"{spec.family.value}_{spec.rows}_{spec.cols}_{spec.cube_nodes}"
     lines = [f'graph "{name}" {{\n']

@@ -17,6 +17,12 @@ SMALL_SPEC_IDS = [
     for spec in SMALL_SPECS
 ]
 
+#: Addresses in range for any teh(l, m, N) with l, m >= 2 and N >= 4, each
+#: with one field a float or a bool, which no address field may be.
+NON_INT_ADDRESSES = [
+    (0.5, 0, 0), (True, 0, 0), (0, 1.0, 0), (0, False, 0), (0, 0, 2.0), (0, 0, True),
+]
+
 
 @st.composite
 def small_specs(draw, max_rows=6, max_cols=6, cube_sizes=CUBE_SIZES):

@@ -762,16 +762,6 @@ class TestTableParser:
 
 
 class TestMetricsWarnings:
-    def test_rings_of_three_or_more_enter_no_warnings_block(self, monkeypatch):
-        def refuse():
-            raise AssertionError("catch_warnings entered")
-
-        monkeypatch.setattr(cli.warnings, "catch_warnings", refuse)
-        argv = (*_CLI_GOLDEN_CASES["metrics_teh_4_6_8"], "--format", "text")
-        code, out, err = invoke(*argv)
-        assert (code, err) == (0, "")
-        assert out == (CLI_GOLDEN_DIR / "metrics_teh_4_6_8.txt").read_text()
-
     def test_small_ring_prints_its_note_and_lets_no_warning_escape(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from bruteforce import adjacency_by_enumeration, all_pairs_diameter, edge_count
 from strategies import SMALL_SPEC_IDS, SMALL_SPECS, small_specs
 from tehnet import (
-    ClosedFormApproximationWarning,
     DiameterConvention,
     SpecError,
     build_graph,
@@ -42,6 +41,7 @@ class TestLinkCount:
             (teh_spec(4, 8, 16), 2048),
             (hypercube_spec(16384), 114688),
             (torus_spec(32, 32), 2048),
+            (teh_spec(2, 2, 8), 112),
         ],
     )
     def test_closed_form_cells(self, spec, expected):
@@ -64,16 +64,19 @@ class TestLinkCount:
             spec = teh_spec(*dims)
             assert link_count_closed(spec) == link_count_simple(spec)
 
-    def test_warns_when_rings_collapse(self):
-        with pytest.warns(ClosedFormApproximationWarning):
-            assert link_count_closed(teh_spec(2, 2, 8)) == 112
-        assert link_count_simple(teh_spec(2, 2, 8)) == 80
-
-    def test_no_warning_for_hypercube_or_wide_torus(self):
+    @pytest.mark.parametrize("spec", SMALL_SPECS, ids=SMALL_SPEC_IDS)
+    def test_simple_degree_names_the_closed_form_surplus(self, spec):
+        """The closed count keeps two links per node on every ring; the
+        links it has above the simple graph are the ones ``simple_degree``
+        drops, and no call warns about them."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            link_count_closed(hypercube_spec(8))
-            link_count_closed(torus_spec(3, 3))
+            report = metrics_report(spec)
+            closed, simple = link_count_closed(spec), link_count_simple(spec)
+        assert report.links == closed
+        surplus = spec.node_count * (spec.nominal_degree - simple_degree(spec))
+        assert 2 * (closed - simple) == surplus
+        assert simple == len(build_graph(spec).edges)
 
 
 def all_sources_diameter(topology):

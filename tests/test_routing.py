@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bruteforce import adjacency_by_enumeration, apply_move, bfs_dist, route_by_moves
-from strategies import SMALL_SPEC_IDS, SMALL_SPECS, spec_with_addresses
+from strategies import (
+    NON_INT_ADDRESSES,
+    SMALL_SPEC_IDS,
+    SMALL_SPECS,
+    spec_with_addresses,
+)
 from tehnet import (
     AddressOutOfRangeError,
     IndexOutOfRangeError,
@@ -128,8 +133,10 @@ class TestDistanceClosed:
 
 
 _BAD_ADDRESSES = [
-    # Each coordinate of teh(3, 4, 8) just below and at its bound.
+    # Each coordinate of teh(3, 4, 8) just below and at its bound, then
+    # each field a float or a bool.
     (-1, 0, 0), (3, 0, 0), (0, -1, 0), (0, 4, 0), (0, 0, -1), (0, 0, 8),
+    *NON_INT_ADDRESSES,
 ]
 
 

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bruteforce import adjacency_by_enumeration, neighbors
-from strategies import SMALL_SPEC_IDS, SMALL_SPECS, small_specs, spec_with_addresses
+from strategies import (
+    NON_INT_ADDRESSES,
+    SMALL_SPEC_IDS,
+    SMALL_SPECS,
+    small_specs,
+    spec_with_addresses,
+)
 from tehnet import (
     AddressOutOfRangeError,
     Family,
@@ -99,7 +105,7 @@ class TestAddressing:
 
     def test_out_of_range_address(self):
         spec = teh_spec(2, 2, 8)
-        for bad in [(2, 0, 0), (0, 2, 0), (0, 0, 8), (-1, 0, 0)]:
+        for bad in [(2, 0, 0), (0, 2, 0), (0, 0, 8), (-1, 0, 0), *NON_INT_ADDRESSES]:
             with pytest.raises(AddressOutOfRangeError):
                 encode_address(spec, NodeAddress(*bad))
 
