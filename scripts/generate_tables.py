@@ -13,22 +13,25 @@ from pathlib import Path
 from tehnet import DiameterConvention
 from tehnet.tables import (
     NETWORK_KEYS,
+    PROCESSOR_COUNTS,
     TABLE_FILES,
     render,
     render_table,
-    table1_rows,
-    table2_rows,
+    table1_cells,
+    table2_cells,
 )
 
 #: Each output format to the suffix of its file.
 SUFFIXES = {"csv": "csv", "json": "json", "text": "txt"}
 
 
-def figure_csv(rows) -> str:
+def figure_csv(cells) -> str:
     """Long-form (network, processors, value) lines for external plotting."""
     table = [("network", "processors", "value")]
     table += [
-        (key, row.processors, row.values[key]) for key in NETWORK_KEYS for row in rows
+        (key, processors, value)
+        for key in NETWORK_KEYS
+        for processors, value in zip(PROCESSOR_COUNTS, cells[key])
     ]
     return render("csv", None, table, ())
 
@@ -52,8 +55,8 @@ def main() -> None:
     for fmt in ("csv", "text"):
         name = f"{TABLE_FILES[2]}_exact.{SUFFIXES[fmt]}"
         outputs[name] = render_table(2, fmt, DiameterConvention.EXACT)
-    outputs["figure_links_vs_p.csv"] = figure_csv(table1_rows())
-    outputs["figure_cost_vs_p.csv"] = figure_csv(table2_rows())
+    outputs["figure_links_vs_p.csv"] = figure_csv(table1_cells())
+    outputs["figure_cost_vs_p.csv"] = figure_csv(table2_cells()[0])
     for name, text in outputs.items():
         (out / name).write_text(text)
         print(f"wrote {out / name}")

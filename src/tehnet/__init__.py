@@ -26,7 +26,6 @@ from .metrics import (
     square_torus_diameter,
 )
 from .reliability import (
-    ReliabilityRow,
     monte_carlo_connectivity,
     reliability_percent,
     reliability_table,
@@ -39,11 +38,10 @@ from .routing import (
 )
 from .selfcheck import CheckResult, self_check
 from .tables import (
-    ComparisonRow,
     ScalingMode,
     scaling_sequence,
-    table1_rows,
-    table2_rows,
+    table1_cells,
+    table2_cells,
 )
 from .topology import (
     DEFAULT_NODE_CAP,
@@ -61,4 +59,4 @@ from .topology import (
     validate_spec,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

@@ -17,8 +17,6 @@ keeps a link, and not once all its links have failed.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .errors import CountOutOfRangeError, SpecError, TooManyFaultsError
 from .metrics import simple_degree
 from .topology import (
@@ -37,10 +35,17 @@ def _round1_half_away(numerator: int, denominator: int) -> float:
     return tenths / 10
 
 
+def _check_count(
+    name: str, value: int, low: int, error: type[Exception] = CountOutOfRangeError
+) -> None:
+    # A count is an int (a bool is not) of at least ``low``.
+    if type(value) is not int or value < low:
+        raise error(f"{name} must be >= {low}, got {value}")
+
+
 def _surviving_degree(spec: NetworkSpec, failures: int) -> int | None:
     # The degree d of (d - f) / d, or None for f > d.
-    if failures < 0:
-        raise CountOutOfRangeError(f"failure count must be >= 0, got {failures}")
+    _check_count("failure count", failures, 0)
     degree = spec.nominal_degree
     if degree == 0:
         raise SpecError(
@@ -57,7 +62,8 @@ def reliability_percent(spec: NetworkSpec, failures: int) -> float | None:
     gives 0.0; with eight there is no value.
 
     Raises:
-        CountOutOfRangeError: If ``failures`` is below 0.
+        CountOutOfRangeError: If ``failures`` is not an ``int`` (a
+            ``bool`` is not) of at least 0.
         SpecError: If the spec's nominal degree is 0.
     """
     degree = _surviving_degree(spec, failures)
@@ -74,23 +80,15 @@ def unreliability_percent(spec: NetworkSpec, failures: int) -> float | None:
     return _round1_half_away(failures, degree)
 
 
-class ReliabilityRow(NamedTuple):
-    """One table row: a failure count and one cell per network spec."""
-
-    failures: int
-    cells: tuple[float | None, ...]
-
-
-def reliability_table(specs: list[NetworkSpec], f_max: int) -> list[ReliabilityRow]:
-    """Rows f = 1..f_max of reliability percentages, one cell per spec.
-    An empty ``specs`` raises :class:`SpecError`."""
+def reliability_table(specs: list[NetworkSpec], f_max: int) -> list[tuple]:
+    """Reliability percentages, one cell per spec, with row ``f - 1`` for f
+    failures, f = 1..f_max.  An ``f_max`` that is not an ``int`` of at least 0
+    raises :class:`CountOutOfRangeError`, an empty ``specs`` :class:`SpecError`."""
+    _check_count("f_max", f_max, 0)
     if not specs:
         raise SpecError("at least one spec is required")
     return [
-        ReliabilityRow(
-            failures=f,
-            cells=tuple(reliability_percent(spec, f) for spec in specs),
-        )
+        tuple(reliability_percent(spec, f) for spec in specs)
         for f in range(1, f_max + 1)
     ]
 
@@ -126,15 +124,13 @@ def monte_carlo_connectivity(
     ring has fewer than 3 nodes.
 
     Raises:
-        CountOutOfRangeError: If ``trials`` is below 1 or ``failures``
-            below 0.
+        CountOutOfRangeError: If ``trials`` is not an ``int`` of at least
+            1 or ``failures`` not one of at least 0 (a ``bool`` is neither).
         ResourceLimitError: If node_count exceeds ``node_cap``.
         TooManyFaultsError: If ``failures`` exceeds the source degree.
     """
-    if trials < 1:
-        raise CountOutOfRangeError(f"trials must be >= 1, got {trials}")
-    if failures < 0:
-        raise CountOutOfRangeError(f"failure count must be >= 0, got {failures}")
+    _check_count("trials", trials, 1)
+    _check_count("failure count", failures, 0)
     _check_node_cap(spec, node_cap)
     degree = simple_degree(spec)
     if failures > degree:

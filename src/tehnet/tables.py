@@ -14,7 +14,9 @@ and :func:`reliability_output` (any reliability grid) build the shapes;
 A column of tables 1 and 2 holds four networks of P processors: the
 hypercube, the torus as a near-square power-of-two split (16 x 32 at 512),
 teh(16, 16, P/256) with its growing hypercube, and teh(l, m, 16) with its
-growing torus, l x m being the same split of P/16.  A table-1 cell is
+growing torus, l x m being the same split of P/16.  Such a table is its
+cells, ``{network key: [one cell per processor count]}``, read by one rule
+over those columns: a table-1 cell is
 :func:`tehnet.metrics.link_count_closed` of its network, a table-2 cell
 ``metrics_report(spec, convention).cost``, with one override.  The square
 convention follows the reference, which quotes torus parts by node count
@@ -30,11 +32,11 @@ import math
 from enum import Enum
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator
 
 from .errors import ResourceLimitError, SpecError, UnsupportedFormatError
 from .metrics import DiameterConvention, link_count_closed, metrics_report
-from .reliability import ReliabilityRow, reliability_table
+from .reliability import _check_count, reliability_table
 from .topology import (
     DEFAULT_NODE_CAP,
     Family,
@@ -64,24 +66,6 @@ TABLE3_F_MAX = 9
 
 #: Each table id to the stem of its data files, named here only.
 TABLE_FILES = {1: "table1_links", 2: "table2_cost", 3: "table3_reliability"}
-
-
-class ComparisonRow(NamedTuple):
-    """One processor-count column of the comparison tables.
-
-    ``values`` maps each of :data:`NETWORK_KEYS` to its cell.  ``flagged``
-    names the networks whose exact-convention value differs from the
-    square-convention one (only populated for cost rows under the exact
-    convention).
-    """
-
-    processors: int
-    values: dict[str, int]
-    teh_16_16_cube_nodes: int
-    flagged: frozenset[str] = frozenset()
-
-    def __hash__(self) -> int:
-        return hash((self.processors, self.teh_16_16_cube_nodes, self.flagged))
 
 
 def _nearest_even_root(node_count: int) -> int:
@@ -121,46 +105,40 @@ def _square_cost(key: str, spec: NetworkSpec) -> int:
     return metrics_report(spec, DiameterConvention.SQUARE_APPROX).cost
 
 
-def table1_rows() -> list[ComparisonRow]:
-    """Total-links comparison: six processor counts, four networks."""
-    return [
-        ComparisonRow(
-            processors=processors,
-            values={key: link_count_closed(spec) for key, spec in specs.items()},
-            teh_16_16_cube_nodes=specs["teh_16_16_N"].cube_nodes,
-        )
-        for processors, specs in _COLUMNS
-    ]
+def _cells(rule: Callable[[str, NetworkSpec], int]) -> dict[str, list[int]]:
+    # Each network key to ``rule(key, spec)`` of its network in each column.
+    return {
+        key: [rule(key, specs[key]) for _, specs in _COLUMNS] for key in NETWORK_KEYS
+    }
 
 
-def table2_rows(
+def table1_cells() -> dict[str, list[int]]:
+    """Total links: each network key to its cell at each of PROCESSOR_COUNTS."""
+    return _cells(lambda key, spec: link_count_closed(spec))
+
+
+def table2_cells(
     convention: DiameterConvention = DiameterConvention.SQUARE_APPROX,
-) -> list[ComparisonRow]:
-    """Topological-cost comparison under the selected diameter convention.
+) -> tuple[dict[str, list[int]], frozenset[tuple[str, int]]]:
+    """Topological cost under the selected diameter convention, as the cells
+    of :func:`table1_cells` plus the ``(key, processors)`` cells flagged.
 
     The square convention reproduces the reference cells; the exact
     convention takes each network's exact diameter and flags every cell
     that changes.  An unknown ``convention`` raises :class:`SpecError`.
     """
     convention = _member(DiameterConvention, convention, "diameter convention")
-    rows = []
-    for processors, specs in _COLUMNS:
-        square = {key: _square_cost(key, spec) for key, spec in specs.items()}
-        values = square
-        if convention is DiameterConvention.EXACT:
-            values = {
-                key: metrics_report(spec, convention).cost
-                for key, spec in specs.items()
-            }
-        rows.append(
-            ComparisonRow(
-                processors=processors,
-                values=values,
-                teh_16_16_cube_nodes=specs["teh_16_16_N"].cube_nodes,
-                flagged=frozenset(k for k in NETWORK_KEYS if values[k] != square[k]),
-            )
-        )
-    return rows
+    square = _cells(_square_cost)
+    if convention is DiameterConvention.SQUARE_APPROX:
+        return square, frozenset()
+    exact = _cells(lambda key, spec: metrics_report(spec, convention).cost)
+    flagged = frozenset(
+        (key, p)
+        for key in NETWORK_KEYS
+        for p, cell, reference in zip(PROCESSOR_COUNTS, exact[key], square[key])
+        if cell != reference
+    )
+    return exact, flagged
 
 
 class ScalingMode(str, Enum):
@@ -184,12 +162,12 @@ def scaling_sequence(
     raises the degree by one per step.
 
     Raises:
-        SpecError: If ``mode`` names no mode, or ``steps`` < 1.
+        SpecError: If ``mode`` names no mode, or ``steps`` is not an
+            ``int`` (a ``bool`` is not) of at least 1.
         ResourceLimitError: If a step would exceed ``node_cap``.
     """
     mode = _member(ScalingMode, mode, "scaling mode")
-    if steps < 1:
-        raise SpecError(f"steps must be >= 1, got {steps}")
+    _check_count("steps", steps, 1, SpecError)
     out: list[NetworkSpec] = []
     rows, cols, cube_nodes = base_spec.rows, base_spec.cols, base_spec.cube_nodes
     family = base_spec.family
@@ -271,47 +249,39 @@ def _number(value: float) -> str:
 
 
 def comparison_output(
-    rows: list[ComparisonRow],
+    cells: dict[str, list[int]], flagged: frozenset[tuple[str, int]] = frozenset()
 ) -> tuple[Callable[[], dict], Iterator[list], Iterator[str]]:
-    """Table 1 or 2 as the ``(doc, rows, lines)`` of :func:`render`.
+    """Table 1 or 2 as the ``(doc, rows, lines)`` of :func:`render`, from
+    the cells of :func:`table1_cells` or :func:`table2_cells`.
 
     Csv and text put one network per line and one processor count per
     column.  Text annotates the growing-cube column with its N and marks
     each flagged cell with a ``*`` and a footnote.
     """
+    cube_nodes = [specs["teh_16_16_N"].cube_nodes for _, specs in _COLUMNS]
 
     def doc() -> dict:
         return {
-            "processors": [row.processors for row in rows],
-            "networks": {k: [row.values[k] for row in rows] for k in NETWORK_KEYS},
-            "teh_16_16_cube_nodes": [row.teh_16_16_cube_nodes for row in rows],
-            "flagged": sorted([k, row.processors] for row in rows for k in row.flagged),
+            "processors": list(PROCESSOR_COUNTS),
+            "networks": cells,
+            "teh_16_16_cube_nodes": cube_nodes,
+            "flagged": sorted(map(list, flagged)),
         }
 
+    def line(key: str) -> list[str]:
+        texts = [_DISPLAY_LABELS[key]]
+        for p, n, cell in zip(PROCESSOR_COUNTS, cube_nodes, cells[key]):
+            note = f" N={n}" if key == "teh_16_16_N" else ""
+            star = "*" if (key, p) in flagged else ""
+            texts.append(f"{cell}{note}{star}")
+        return texts
+
     csv_rows = chain(
-        [["network"] + [row.processors for row in rows]],
-        ([key] + [row.values[key] for row in rows] for key in NETWORK_KEYS),
+        [["network", *PROCESSOR_COUNTS]], ([key, *cells[key]] for key in NETWORK_KEYS)
     )
-    return doc, csv_rows, _comparison_lines(rows)
-
-
-def _comparison_lines(rows: list[ComparisonRow]) -> Iterator[str]:
-    def cell(row: ComparisonRow, key: str) -> str:
-        text = str(row.values[key])
-        if key == "teh_16_16_N":
-            text += f" N={row.teh_16_16_cube_nodes}"
-        if key in row.flagged:
-            text += "*"
-        return text
-
-    table = [["network"] + [str(row.processors) for row in rows]]
-    table += [
-        [_DISPLAY_LABELS[key]] + [cell(row, key) for row in rows]
-        for key in NETWORK_KEYS
-    ]
-    yield from _aligned(table, left=1)
-    if any(row.flagged for row in rows):
-        yield "* differs from the square-convention value"
+    table = chain([["network", *map(str, PROCESSOR_COUNTS)]], map(line, NETWORK_KEYS))
+    footnote = ["* differs from the square-convention value"] if flagged else []
+    return doc, csv_rows, chain(_aligned(table, left=1), footnote)
 
 
 def format_reliability_cell(value: float | None) -> str:
@@ -323,9 +293,10 @@ def format_reliability_cell(value: float | None) -> str:
 
 
 def reliability_output(
-    specs: list[NetworkSpec], rows: list[ReliabilityRow], head: dict | None = None
+    specs: list[NetworkSpec], rows: list[tuple], head: dict | None = None
 ) -> tuple[Callable[[], dict], Iterator[list], Iterator[str]]:
-    """A reliability grid as the ``(doc, rows, lines)`` of :func:`render`.
+    """A reliability grid as the ``(doc, rows, lines)`` of :func:`render`,
+    row ``f - 1`` of ``rows`` holding the cells of f failures.
 
     Json holds the keys of ``head``, then ``specs`` and ``rows``.  Csv has
     a ``failures`` column plus one quoted column per spec, where an absent
@@ -334,19 +305,18 @@ def reliability_output(
     labels = [spec.label() for spec in specs]
 
     def doc() -> dict:
-        cells = [{"failures": row.failures, "cells": list(row.cells)} for row in rows]
+        cells = [{"failures": f, "cells": list(row)} for f, row in enumerate(rows, 1)]
         return {**(head or {}), "specs": labels, "rows": cells}
 
     csv_rows = chain(
         [["failures", *(f'"{label}"' for label in labels)]],
         (
-            [row.failures]
-            + ["" if cell is None else _number(cell) for cell in row.cells]
-            for row in rows
+            [f, *("" if cell is None else _number(cell) for cell in row)]
+            for f, row in enumerate(rows, 1)
         ),
     )
     text = (
-        [str(row.failures), *map(format_reliability_cell, row.cells)] for row in rows
+        [str(f), *map(format_reliability_cell, row)] for f, row in enumerate(rows, 1)
     )
     return doc, csv_rows, _aligned(chain([["failures", *labels]], text), left=0)
 
@@ -362,9 +332,9 @@ def render_table(
     if type(table_id) is not int or table_id not in TABLE_FILES:
         raise SpecError(f"no table {table_id!r}; the tables are {sorted(TABLE_FILES)}")
     if table_id == 1:
-        output = comparison_output(table1_rows())
+        output = comparison_output(table1_cells())
     elif table_id == 2:
-        output = comparison_output(table2_rows(convention))
+        output = comparison_output(*table2_cells(convention))
     else:
         specs = list(TABLE3_SPECS)
         output = reliability_output(specs, reliability_table(specs, TABLE3_F_MAX))

@@ -18,12 +18,13 @@ from tehnet import (
     reliability_percent,
     route,
     scaling_sequence,
-    table1_rows,
-    table2_rows,
+    table1_cells,
+    table2_cells,
     teh_spec,
 )
 
 # Frozen reference cells: processors 512..16384 left to right.
+PROCESSORS = (512, 1024, 2048, 4096, 8192, 16384)
 LINK_CELLS = {
     "hypercube": (2304, 5120, 11264, 24576, 53248, 114688),
     "torus": (1024, 2048, 4096, 8192, 16384, 32768),
@@ -53,11 +54,12 @@ GRID_SPECS = [teh_spec(4, 4, n) for n in (8, 16, 32, 64)]
 
 def test_table1_reproduction():
     """All 24 link-count cells match the reference values exactly."""
-    rows = table1_rows()
+    table = table1_cells()
+    assert list(map(len, table.values())) == [len(PROCESSORS)] * len(LINK_CELLS)
     checked = 0
-    for column, row in enumerate(rows):
+    for column, processors in enumerate(PROCESSORS):
         for key, cells in LINK_CELLS.items():
-            assert row.values[key] == cells[column], (key, row.processors)
+            assert table[key][column] == cells[column], (key, processors)
             checked += 1
     assert checked == 24
     print("PASS table-1 links: 24/24 cells exact")
@@ -65,11 +67,13 @@ def test_table1_reproduction():
 
 def test_table2_reproduction():
     """All 24 cost cells match exactly under the square convention."""
-    rows = table2_rows()
+    table, flagged = table2_cells()
+    assert list(map(len, table.values())) == [len(PROCESSORS)] * len(COST_CELLS)
+    assert flagged == frozenset()
     checked = 0
-    for column, row in enumerate(rows):
+    for column, processors in enumerate(PROCESSORS):
         for key, cells in COST_CELLS.items():
-            assert row.values[key] == cells[column], (key, row.processors)
+            assert table[key][column] == cells[column], (key, processors)
             checked += 1
     assert checked == 24
     print("PASS table-2 cost: 24/24 cells exact")

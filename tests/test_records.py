@@ -14,7 +14,6 @@ import pytest
 import tehnet
 from tehnet import (
     CheckResult,
-    ComparisonRow,
     Family,
     NodeAddress,
     Topology,
@@ -22,9 +21,7 @@ from tehnet import (
     export_topology,
     hypercube_spec,
     metrics_report,
-    reliability_table,
     route,
-    table1_rows,
     teh_spec,
 )
 
@@ -53,24 +50,9 @@ RECORDS = {
         "NodeAddress(row=1, col=1, cube=1)), moves=('col_plus', 'row_plus', "
         "'cube_dim_0'))",
     ),
-    "ReliabilityRow": (
-        lambda: reliability_table([teh_spec(4, 4, 8), teh_spec(4, 4, 16)], 8)[7],
-        "ReliabilityRow(failures=8, cells=(None, 0.0))",
-    ),
     "CheckResult": (
         lambda: CheckResult(group="tables", passed=False, detail="x"),
         "CheckResult(group='tables', passed=False, detail='x')",
-    ),
-    "ComparisonRow": (
-        lambda: table1_rows()[0],
-        "ComparisonRow(processors=512, values={'hypercube': 2304, 'torus': 1024, "
-        "'teh_16_16_N': 1280, 'teh_lm_16': 2048}, teh_16_16_cube_nodes=2, "
-        "flagged=frozenset())",
-    ),
-    "ComparisonRow flagged": (
-        lambda: ComparisonRow(512, {"torus": 1}, 2, frozenset({"torus"})),
-        "ComparisonRow(processors=512, values={'torus': 1}, teh_16_16_cube_nodes=2, "
-        "flagged=frozenset({'torus'}))",
     ),
 }
 
@@ -104,14 +86,6 @@ def test_topology_cached_adjacency_cannot_be_assigned():
     with pytest.raises(AttributeError):
         topology.adjacency = ()
     assert topology.adjacency is adjacency
-
-
-def test_comparison_row_hash_leaves_out_values():
-    row = ComparisonRow(512, {"torus": 1}, 2)
-    other = ComparisonRow(512, {"torus": 2}, 2)
-    assert row != other
-    assert hash(row) == hash(other)
-    assert row.flagged == frozenset()
 
 
 def test_records_are_tuples():
@@ -252,11 +226,10 @@ def test_help_loads_argparse_and_prints_its_pinned_bytes():
     assert loaded == ["argparse", "gettext"]
 
 
-#: The public names of ``tehnet`` 0.7.0, sorted; its submodules are left out.
+#: The public names of ``tehnet`` 0.8.0, sorted; its submodules are left out.
 PUBLIC_NAMES = [
     "AddressOutOfRangeError",
     "CheckResult",
-    "ComparisonRow",
     "CountOutOfRangeError",
     "DEFAULT_NODE_CAP",
     "DiameterConvention",
@@ -269,7 +242,6 @@ PUBLIC_NAMES = [
     "NonPositiveDimensionError",
     "NotPowerOfTwoError",
     "Path",
-    "ReliabilityRow",
     "ResourceLimitError",
     "ScalingMode",
     "SpecError",
@@ -295,8 +267,8 @@ PUBLIC_NAMES = [
     "scaling_sequence",
     "self_check",
     "square_torus_diameter",
-    "table1_rows",
-    "table2_rows",
+    "table1_cells",
+    "table2_cells",
     "teh_spec",
     "torus_spec",
     "unreliability_percent",

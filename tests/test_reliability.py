@@ -128,9 +128,11 @@ class TestAnalyticalModel:
 
     @pytest.mark.parametrize("model", ALL_MODEL_FUNCTIONS)
     def test_negative_failures_are_a_count_error(self, model):
-        with pytest.raises(CountOutOfRangeError) as raised:
-            model(teh_spec(4, 4, 8), -1)
-        assert str(raised.value) == "failure count must be >= 0, got -1"
+        # A float or a bool is no count either, though 1.5 and True compare.
+        for failures in (-1, 1.5, True):
+            with pytest.raises(CountOutOfRangeError) as raised:
+                model(teh_spec(4, 4, 8), failures)
+            assert str(raised.value) == f"failure count must be >= 0, got {failures}"
 
     @pytest.mark.parametrize("model", ALL_MODEL_FUNCTIONS)
     @pytest.mark.parametrize("failures", [0, 1])
@@ -200,16 +202,17 @@ class TestAnalyticalModel:
 class TestTableRendering:
     def test_grid_shape(self):
         rows = reliability_table(SCALED_SPECS, 9)
-        assert [row.failures for row in rows] == list(range(1, 10))
-        assert all(len(row.cells) == 4 for row in rows)
+        assert len(rows) == 9
+        assert all(len(row) == 4 for row in rows)
+        assert rows[6] == tuple(reliability_percent(s, 7) for s in SCALED_SPECS)
 
     def test_single_cell(self):
         rows = reliability_table([teh_spec(4, 4, 16)], 1)
-        assert rows[0].cells == (87.5,)
+        assert rows == [(87.5,)]
 
     def test_absent_cell(self):
         rows = reliability_table([teh_spec(4, 4, 8)], 8)
-        assert rows[-1].cells == (None,)
+        assert rows[-1] == (None,)
 
     def test_cell_typography(self):
         assert format_reliability_cell(None) == "—"
@@ -285,8 +288,16 @@ class TestMonteCarlo:
             monte_carlo_connectivity(teh_spec(4, 4, 8), 8, 10, 0)
 
     def test_trials_must_be_positive(self):
-        with pytest.raises(ValueError):
-            monte_carlo_connectivity(teh_spec(4, 4, 8), 1, 0, 0)
+        for trials in (0, 1.5, True):
+            with pytest.raises(CountOutOfRangeError) as raised:
+                monte_carlo_connectivity(teh_spec(4, 4, 8), 1, trials, 0)
+            assert str(raised.value) == f"trials must be >= 1, got {trials}"
+
+    def test_failures_must_be_a_count(self):
+        for failures in (-1, 0.5, True):
+            with pytest.raises(CountOutOfRangeError) as raised:
+                monte_carlo_connectivity(teh_spec(4, 4, 8), failures, 1, 0)
+            assert str(raised.value) == f"failure count must be >= 0, got {failures}"
 
     @pytest.mark.parametrize("spec", ORACLE_SPECS)
     def test_equals_every_fault_set(self, spec):

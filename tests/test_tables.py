@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tehnet import (
+    CountOutOfRangeError,
     DiameterConvention,
     ResourceLimitError,
     ScalingMode,
@@ -19,8 +20,8 @@ from tehnet import (
     diameter_bfs,
     reliability_table,
     scaling_sequence,
-    table1_rows,
-    table2_rows,
+    table1_cells,
+    table2_cells,
     teh_spec,
     torus_spec,
 )
@@ -58,32 +59,27 @@ COST_CELLS = {
 
 class TestLinkTable:
     def test_every_cell(self):
-        rows = table1_rows()
-        assert [row.processors for row in rows] == list(PROCESSOR_COUNTS)
-        for column, row in enumerate(rows):
-            for key in NETWORK_KEYS:
-                assert row.values[key] == LINK_CELLS[key][column]
+        assert table1_cells() == {key: list(LINK_CELLS[key]) for key in NETWORK_KEYS}
+        assert list(table1_cells()) == list(NETWORK_KEYS)
 
     def test_growing_cube_annotation(self):
-        assert [row.teh_16_16_cube_nodes for row in table1_rows()] == [
-            2, 4, 8, 16, 32, 64,
-        ]
+        doc = json.loads(render("json", *comparison_output(table1_cells())))
+        assert doc["processors"] == list(PROCESSOR_COUNTS)
+        assert doc["teh_16_16_cube_nodes"] == [2, 4, 8, 16, 32, 64]
+        assert doc["teh_16_16_cube_nodes"] == [p // 256 for p in PROCESSOR_COUNTS]
 
 
 class TestCostTable:
     def test_every_cell_square_convention(self):
-        for column, row in enumerate(table2_rows()):
-            for key in NETWORK_KEYS:
-                assert row.values[key] == COST_CELLS[key][column]
+        cells, _ = table2_cells()
+        assert cells == {key: list(COST_CELLS[key]) for key in NETWORK_KEYS}
+        assert list(cells) == list(NETWORK_KEYS)
 
     def test_square_convention_has_no_flags(self):
-        assert all(row.flagged == frozenset() for row in table2_rows())
+        assert table2_cells()[1] == frozenset()
 
     def test_exact_convention_flags_rectangular_cells(self):
-        rows = table2_rows(DiameterConvention.EXACT)
-        flagged = {
-            (key, row.processors) for row in rows for key in row.flagged
-        }
+        _, flagged = table2_cells(DiameterConvention.EXACT)
         assert flagged == {
             ("torus", 512),
             ("torus", 2048),
@@ -92,50 +88,53 @@ class TestCostTable:
         }
 
     def test_exact_convention_unflagged_cells_match(self):
-        for column, row in enumerate(table2_rows(DiameterConvention.EXACT)):
+        cells, flagged = table2_cells(DiameterConvention.EXACT)
+        for column, processors in enumerate(PROCESSOR_COUNTS):
             for key in NETWORK_KEYS:
-                if key not in row.flagged:
-                    assert row.values[key] == COST_CELLS[key][column]
+                same = cells[key][column] == COST_CELLS[key][column]
+                assert same == ((key, processors) not in flagged)
 
     @pytest.mark.parametrize("convention", list(DiameterConvention))
     def test_string_convention_equals_its_enum(self, convention):
-        assert table2_rows(convention.value) == table2_rows(convention)
+        assert table2_cells(convention.value) == table2_cells(convention)
 
     def test_unknown_convention(self):
         match = "^unknown diameter convention 'foo'$"
         with pytest.raises(SpecError, match=match) as raised:
-            table2_rows("foo")
+            table2_cells("foo")
         assert raised.value.__suppress_context__
 
     def test_exact_convention_uses_rectangular_diameters(self):
-        rows = table2_rows(DiameterConvention.EXACT)
+        cells, _ = table2_cells(DiameterConvention.EXACT)
         # 512-processor torus as 16x32: 2*512 links times diameter 8+16.
-        assert rows[0].values["torus"] == 1024 * 24
+        assert cells["torus"][0] == 1024 * 24
 
 
 class TestCellsAgainstGraphs:
     @pytest.mark.parametrize("column", range(len(PROCESSOR_COUNTS)))
     def test_cells_match_the_built_graph(self, column):
-        links_row = table1_rows()[column]
-        cost_row = table2_rows(DiameterConvention.EXACT)[column]
+        links = table1_cells()
+        costs, _ = table2_cells(DiameterConvention.EXACT)
         processors, specs = _COLUMNS[column]
+        assert processors == PROCESSOR_COUNTS[column]
         assert list(specs) == list(NETWORK_KEYS)
-        assert links_row.teh_16_16_cube_nodes == specs["teh_16_16_N"].cube_nodes
+        assert specs["teh_16_16_N"].cube_nodes == processors // 256
         for key, spec in specs.items():
             graph = build_graph(spec)
             assert graph.node_count == processors
-            links = len(graph.edges)
-            assert links_row.values[key] == links
-            assert cost_row.values[key] == links * diameter_bfs(graph)
+            edges = len(graph.edges)
+            assert links[key][column] == edges
+            assert costs[key][column] == edges * diameter_bfs(graph)
 
 
 class TestReliabilityGrid:
     def test_reference_cells(self):
         rows = reliability_table(list(TABLE3_SPECS), TABLE3_F_MAX)
+        assert len(rows) == TABLE3_F_MAX
         cells = {
-            (row.failures, spec.label()): cell
-            for row in rows
-            for spec, cell in zip(TABLE3_SPECS, row.cells)
+            (failures, spec.label()): cell
+            for failures, row in enumerate(rows, 1)
+            for spec, cell in zip(TABLE3_SPECS, row)
         }
         assert cells[(6, "(4, 4, 32)")] == 33.3
         assert cells[(8, "(4, 4, 8)")] is None
@@ -145,11 +144,19 @@ class TestReliabilityGrid:
         with pytest.raises(SpecError, match="^at least one spec is required$"):
             reliability_table([], 3)
 
+    def test_f_max_is_a_count(self):
+        assert reliability_table(list(TABLE3_SPECS), 0) == []
+        for f_max in (-1, 2.0, True):
+            match = rf"^f_max must be >= 0, got {re.escape(str(f_max))}$"
+            with pytest.raises(CountOutOfRangeError, match=match):
+                reliability_table(list(TABLE3_SPECS), f_max)
+
     def test_zero_diagonal(self):
         degrees = [spec.nominal_degree for spec in TABLE3_SPECS]
-        for row in reliability_table(list(TABLE3_SPECS), TABLE3_F_MAX):
-            for degree, cell in zip(degrees, row.cells):
-                if row.failures == degree:
+        rows = reliability_table(list(TABLE3_SPECS), TABLE3_F_MAX)
+        for failures, row in enumerate(rows, 1):
+            for degree, cell in zip(degrees, row):
+                if failures == degree:
                     assert cell == 0.0
 
 
@@ -170,8 +177,10 @@ class TestScalingSequence:
         assert dims == [(4, 8), (8, 8)]
 
     def test_steps_must_be_positive(self):
-        with pytest.raises(ValueError):
-            scaling_sequence(ScalingMode.EXPAND_TORUS, teh_spec(4, 4, 16), 0)
+        # True and 2.0 compare as numbers but are no count of steps.
+        for steps in (0, 2.0, True):
+            with pytest.raises(SpecError, match=f"^steps must be >= 1, got {steps}$"):
+                scaling_sequence(ScalingMode.EXPAND_TORUS, teh_spec(4, 4, 16), steps)
 
     def test_unknown_mode(self):
         with pytest.raises(SpecError, match="^unknown scaling mode 'cube'$") as raised:
@@ -221,23 +230,24 @@ class TestRenderTable:
 
 class TestRendering:
     def test_csv_matches_golden(self):
-        assert render("csv", *comparison_output(table1_rows())) == (
+        assert render("csv", *comparison_output(table1_cells())) == (
             GOLDEN_DIR / "table1.csv"
         ).read_text()
-        assert render("csv", *comparison_output(table2_rows())) == (
+        assert render("csv", *comparison_output(*table2_cells())) == (
             GOLDEN_DIR / "table2.csv"
         ).read_text()
 
     def test_text_matches_golden(self):
-        assert render("text", *comparison_output(table1_rows())) == (
+        assert render("text", *comparison_output(table1_cells())) == (
             GOLDEN_DIR / "table1.txt"
         ).read_text()
-        assert render("text", *comparison_output(table2_rows())) == (
+        assert render("text", *comparison_output(*table2_cells())) == (
             GOLDEN_DIR / "table2.txt"
         ).read_text()
 
     def test_exact_mode_text_footnote(self):
-        text = render("text", *comparison_output(table2_rows(DiameterConvention.EXACT)))
+        output = comparison_output(*table2_cells(DiameterConvention.EXACT))
+        text = render("text", *output)
         assert "24576*" in text
         assert text.rstrip().endswith("* differs from the square-convention value")
 
@@ -275,8 +285,8 @@ class TestRendering:
             render_table(1, fmt)
 
     def test_json_rendering_is_deterministic(self):
-        assert render("json", *comparison_output(table2_rows())) == render(
-            "json", *comparison_output(table2_rows())
+        assert render("json", *comparison_output(*table2_cells())) == render(
+            "json", *comparison_output(*table2_cells())
         )
 
 
