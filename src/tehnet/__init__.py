@@ -59,4 +59,4 @@ from .topology import (
     validate_spec,
 )
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"

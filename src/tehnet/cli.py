@@ -5,11 +5,13 @@ partial document on error) and two runs with identical arguments produce
 byte-identical output.  Exit codes: 0 success, 1 usage error or failed
 self-check, 2 domain error, 3 resource limit.
 """
+# The docstring is ``tehnet --help``'s text; this module builds every command record.
 
 from __future__ import annotations
 
 import functools
 import sys
+from itertools import chain
 from types import SimpleNamespace
 from typing import IO, Callable, Iterator, NamedTuple, Sequence
 
@@ -97,16 +99,16 @@ def _parse_triple(text: str, expected: str) -> tuple[int, ...]:
     return values
 
 
+def _spec_fields(spec: NetworkSpec, cube_key: str = "N") -> dict:
+    """family, l, m and the cube node count under ``cube_key``."""
+    return {"family": spec.family.value, "l": spec.rows, "m": spec.cols,
+            cube_key: spec.cube_nodes}
+
+
 def _record(record: dict, fmt: str, notes: Sequence[str] = ()) -> str:
     """One record as csv, json, or ``key: value`` lines followed by ``notes``."""
-    lines = _record_lines(record, notes)
+    lines = chain((f"{key}: {value}" for key, value in record.items()), notes)
     return render(fmt, lambda: record, (record, record.values()), lines)
-
-
-def _record_lines(record: dict, notes: Sequence[str]) -> Iterator[str]:
-    for key, value in record.items():
-        yield f"{key}: {value}"
-    yield from notes
 
 
 def _cube_bits(spec: NetworkSpec, cube: int) -> str:
@@ -123,7 +125,12 @@ def _cmd_metrics(args: SimpleNamespace) -> str:
             f"note: links counts coincident ring links twice; the simple "
             f"graph has {link_count_simple(spec)}"
         )
-    return _record(report.to_json_dict(), args.format, notes)
+    record = {
+        **_spec_fields(spec), "nodes": report.node_count, "degree": report.degree,
+        "links": report.links, "diameter": report.diameter, "cost": report.cost,
+        "convention": report.convention.value,
+    }
+    return _record(record, args.format, notes)
 
 
 def _route_rows(path: Path) -> Iterator[tuple]:
@@ -152,7 +159,13 @@ def _cmd_route(args: SimpleNamespace) -> str:
             f"{args.max_nodes}; raise --max-nodes to route on it anyway"
         )
     path = route(spec, src, dst)
-    return render(args.format, path.to_json_dict, _route_rows(path), _route_lines(path))
+
+    def doc() -> dict:
+        hops = [str(hop) for hop in path.hops]
+        return {**_spec_fields(spec, "n_cube_nodes"), "hops": hops,
+                "moves": list(path.moves), "length": path.length}
+
+    return render(args.format, doc, _route_rows(path), _route_lines(path))
 
 
 def _cmd_table(args: SimpleNamespace) -> str:
@@ -181,10 +194,7 @@ def _cmd_simulate(args: SimpleNamespace) -> str:
         spec, args.failures, args.trials, args.seed, node_cap=args.max_nodes
     )
     record = {
-        "family": spec.family.value,
-        "l": spec.rows,
-        "m": spec.cols,
-        "N": spec.cube_nodes,
+        **_spec_fields(spec),
         "failures": args.failures,
         "trials": args.trials,
         "seed": args.seed,
@@ -211,10 +221,7 @@ def _cmd_scale(args: SimpleNamespace) -> str:
         {
             "step": number,
             "mode": mode.value,
-            "family": spec.family.value,
-            "l": spec.rows,
-            "m": spec.cols,
-            "N": spec.cube_nodes,
+            **_spec_fields(spec),
             "nodes": spec.node_count,
             "degree": spec.nominal_degree,
             "existing_nodes_reconfigured": rewires,
@@ -233,15 +240,14 @@ def _cmd_scale(args: SimpleNamespace) -> str:
 
 def _cmd_self_check(args: SimpleNamespace) -> str:
     results = self_check(max_nodes=args.max_nodes)
-    lines = []
-    for result in results:
-        if result.passed:
-            lines.append(f"PASS  {result.group}")
-        else:
-            lines.append(f"FAIL  {result.group}: {result.detail}")
+    lines = [
+        f"PASS  {result.group}" if result.passed
+        else f"FAIL  {result.group}: {result.detail}"
+        for result in results
+    ]
     failed = sum(not result.passed for result in results)
     lines.append(f"{len(results) - failed}/{len(results)} groups passed")
-    text = "\n".join(lines) + "\n"
+    text = render("text", None, None, lines)
     if failed:
         raise _Exit(text, EXIT_USAGE)
     return text

@@ -42,4 +42,4 @@ class TooManyFaultsError(TehnetError, ValueError):
 
 
 class CountOutOfRangeError(TehnetError, ValueError):
-    """A fault or trial count is below its lower bound."""
+    """A count, node cap or seed is not an ``int``, or a count is below its bound."""

@@ -41,20 +41,6 @@ class MetricsReport(NamedTuple):
     cost: int
     convention: DiameterConvention
 
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.spec.family.value,
-            "l": self.spec.rows,
-            "m": self.spec.cols,
-            "N": self.spec.cube_nodes,
-            "nodes": self.node_count,
-            "degree": self.degree,
-            "links": self.links,
-            "diameter": self.diameter,
-            "cost": self.cost,
-            "convention": self.convention.value,
-        }
-
 
 def simple_degree(spec: NetworkSpec) -> int:
     """Degree of every node in the simple graph: a ring of s nodes gives

@@ -17,12 +17,13 @@ keeps a link, and not once all its links have failed.
 
 from __future__ import annotations
 
-from .errors import CountOutOfRangeError, SpecError, TooManyFaultsError
+from .errors import SpecError, TooManyFaultsError
 from .metrics import simple_degree
 from .topology import (
     DEFAULT_NODE_CAP,
     NetworkSpec,
     NodeAddress,
+    _check_int,
     _check_node_cap,
     encode_address,
 )
@@ -35,17 +36,9 @@ def _round1_half_away(numerator: int, denominator: int) -> float:
     return tenths / 10
 
 
-def _check_count(
-    name: str, value: int, low: int, error: type[Exception] = CountOutOfRangeError
-) -> None:
-    # A count is an int (a bool is not) of at least ``low``.
-    if type(value) is not int or value < low:
-        raise error(f"{name} must be >= {low}, got {value}")
-
-
 def _surviving_degree(spec: NetworkSpec, failures: int) -> int | None:
     # The degree d of (d - f) / d, or None for f > d.
-    _check_count("failure count", failures, 0)
+    _check_int("failure count", failures, 0)
     degree = spec.nominal_degree
     if degree == 0:
         raise SpecError(
@@ -84,7 +77,7 @@ def reliability_table(specs: list[NetworkSpec], f_max: int) -> list[tuple]:
     """Reliability percentages, one cell per spec, with row ``f - 1`` for f
     failures, f = 1..f_max.  An ``f_max`` that is not an ``int`` of at least 0
     raises :class:`CountOutOfRangeError`, an empty ``specs`` :class:`SpecError`."""
-    _check_count("f_max", f_max, 0)
+    _check_int("f_max", f_max, 0)
     if not specs:
         raise SpecError("at least one spec is required")
     return [
@@ -124,13 +117,14 @@ def monte_carlo_connectivity(
     ring has fewer than 3 nodes.
 
     Raises:
-        CountOutOfRangeError: If ``trials`` is not an ``int`` of at least
-            1 or ``failures`` not one of at least 0 (a ``bool`` is neither).
+        CountOutOfRangeError: If ``trials``, ``failures``, ``seed`` or
+            ``node_cap`` is not an ``int``, or trials < 1 or failures < 0.
         ResourceLimitError: If node_count exceeds ``node_cap``.
         TooManyFaultsError: If ``failures`` exceeds the source degree.
     """
-    _check_count("trials", trials, 1)
-    _check_count("failure count", failures, 0)
+    _check_int("trials", trials, 1)
+    _check_int("failure count", failures, 0)
+    _check_int("seed", seed)
     _check_node_cap(spec, node_cap)
     degree = simple_degree(spec)
     if failures > degree:

@@ -66,17 +66,6 @@ class Path(NamedTuple):
     def length(self) -> int:
         return len(self.moves)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.spec.family.value,
-            "l": self.spec.rows,
-            "m": self.spec.cols,
-            "n_cube_nodes": self.spec.cube_nodes,
-            "hops": [str(hop) for hop in self.hops],
-            "moves": list(self.moves),
-            "length": self.length,
-        }
-
 
 _hop = functools.partial(tuple.__new__, NodeAddress)
 

@@ -40,7 +40,14 @@ from .reliability import (
 )
 from .routing import distance_closed, route
 from .tables import TABLE_FILES, render_table
-from .topology import NetworkSpec, Topology, build_graph, decode_address, teh_spec
+from .topology import (
+    NetworkSpec,
+    Topology,
+    _check_int,
+    build_graph,
+    decode_address,
+    teh_spec,
+)
 
 _ORACLE_GRID = list(product((3, 4, 5), (3, 4, 5), (1, 2, 4, 8)))
 _TRANSITIVITY_SPECS = ((3, 4, 4), (2, 2, 8))
@@ -207,11 +214,12 @@ def self_check(max_nodes: int = 512) -> list[CheckResult]:
     """Run every check group and return one result per group.
 
     Args:
-        max_nodes: Upper bound on node_count for the links and
-            diameter oracle grids only.  The vertex-transitivity,
-            routing and monte-carlo groups always build their fixed
-            specs of 16 to 48 nodes.
+        max_nodes: An ``int`` (not a ``bool``, else CountOutOfRangeError)
+            bounding node_count for the links and diameter oracle grids
+            only.  The vertex-transitivity, routing and monte-carlo groups
+            always build their fixed specs of 16 to 48 nodes.
     """
+    _check_int("max_nodes", max_nodes)
     # Groups share specs, so each graph is built once and dropped on return.
     build = functools.cache(build_graph)
     groups = [

@@ -36,11 +36,12 @@ from typing import Callable, Iterable, Iterator
 
 from .errors import ResourceLimitError, SpecError, UnsupportedFormatError
 from .metrics import DiameterConvention, link_count_closed, metrics_report
-from .reliability import _check_count, reliability_table
+from .reliability import reliability_table
 from .topology import (
     DEFAULT_NODE_CAP,
     Family,
     NetworkSpec,
+    _check_int,
     _member,
     hypercube_spec,
     teh_spec,
@@ -164,10 +165,12 @@ def scaling_sequence(
     Raises:
         SpecError: If ``mode`` names no mode, or ``steps`` is not an
             ``int`` (a ``bool`` is not) of at least 1.
+        CountOutOfRangeError: If ``node_cap`` is not an ``int``.
         ResourceLimitError: If a step would exceed ``node_cap``.
     """
     mode = _member(ScalingMode, mode, "scaling mode")
-    _check_count("steps", steps, 1, SpecError)
+    _check_int("steps", steps, 1, SpecError)
+    _check_int("node_cap", node_cap)
     out: list[NetworkSpec] = []
     rows, cols, cube_nodes = base_spec.rows, base_spec.cols, base_spec.cube_nodes
     family = base_spec.family
@@ -326,11 +329,12 @@ def render_table(
     fmt: str,
     convention: DiameterConvention = DiameterConvention.SQUARE_APPROX,
 ) -> str:
-    """Table ``table_id`` as the ``fmt`` output of :func:`render`, where
-    ``convention`` applies to table 2 only.  An id that is not a key of
-    :data:`TABLE_FILES` (an ``int``, not a ``bool``) raises :class:`SpecError`."""
+    """Table ``table_id`` as the ``fmt`` output of :func:`render`; ``convention``
+    applies to table 2 only.  An unknown ``convention``, or an id that is not
+    an ``int`` key of :data:`TABLE_FILES` (a ``bool`` is not), raises SpecError."""
     if type(table_id) is not int or table_id not in TABLE_FILES:
         raise SpecError(f"no table {table_id!r}; the tables are {sorted(TABLE_FILES)}")
+    convention = _member(DiameterConvention, convention, "diameter convention")
     if table_id == 1:
         output = comparison_output(table1_cells())
     elif table_id == 2:

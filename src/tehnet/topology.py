@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 from .errors import (
     AddressOutOfRangeError,
+    CountOutOfRangeError,
     FamilyMismatchError,
     IndexOutOfRangeError,
     NonPositiveDimensionError,
@@ -272,8 +273,18 @@ class Topology(_TopologyFields):
         return dist
 
 
+def _check_int(
+    name: str, value: object, low: int | None = None, error: type = CountOutOfRangeError
+) -> None:
+    # An int (a bool is not), of at least ``low`` if given (counts give one).
+    if type(value) is not int or low is not None and value < low:
+        bound = "an int" if low is None else f">= {low}"
+        raise error(f"{name} must be {bound}, got {value!r}")
+
+
 def _check_node_cap(spec: NetworkSpec, node_cap: int) -> None:
     """Raise ResourceLimitError if ``spec`` has more than ``node_cap`` nodes."""
+    _check_int("node_cap", node_cap)
     if spec.node_count > node_cap:
         raise ResourceLimitError(
             f"{spec.label()} has {spec.node_count} nodes, above the cap of "
@@ -295,6 +306,7 @@ def build_graph(spec: NetworkSpec, node_cap: int = DEFAULT_NODE_CAP) -> Topology
     ``rows - 1`` are emitted from them; each row between is row 1 shifted.
 
     Raises:
+        CountOutOfRangeError: If ``node_cap`` is not an ``int``.
         ResourceLimitError: If node_count exceeds ``node_cap``.
     """
     _check_node_cap(spec, node_cap)

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -13,7 +14,14 @@ from hypothesis import given, settings
 
 from bruteforce import adjacency_by_enumeration, incident_cut_share
 from strategies import cli_argvs
-from tehnet import build_graph, cli, decode_address, selfcheck, teh_spec
+from tehnet import (
+    CountOutOfRangeError,
+    build_graph,
+    cli,
+    decode_address,
+    selfcheck,
+    teh_spec,
+)
 from tehnet.reliability import antipodal_node
 from tehnet.cli import _build_parser, _parse_table, run
 
@@ -411,6 +419,17 @@ def share_per_cut(spec, failures, *_):
 
 
 class TestSelfCheck:
+    @pytest.mark.parametrize("cap", [1.5, True, "512", None])
+    def test_max_nodes_must_be_an_int(self, cap, monkeypatch):
+        # Raised before any group builds a graph, not reported as two
+        # failed oracle-grid groups.
+        built = []
+        monkeypatch.setattr(selfcheck, "build_graph", built.append)
+        match = f"^max_nodes must be an int, got {re.escape(repr(cap))}$"
+        with pytest.raises(CountOutOfRangeError, match=match):
+            selfcheck.self_check(max_nodes=cap)
+        assert built == []
+
     def test_passes_on_a_fresh_build(self):
         code, out, _ = invoke("self-check", "--max-nodes", "256")
         assert code == 0

@@ -226,7 +226,7 @@ def test_help_loads_argparse_and_prints_its_pinned_bytes():
     assert loaded == ["argparse", "gettext"]
 
 
-#: The public names of ``tehnet`` 0.8.0, sorted; its submodules are left out.
+#: The public names of ``tehnet`` 0.9.0, sorted; its submodules are left out.
 PUBLIC_NAMES = [
     "AddressOutOfRangeError",
     "CheckResult",

@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -292,6 +293,17 @@ class TestMonteCarlo:
             with pytest.raises(CountOutOfRangeError) as raised:
                 monte_carlo_connectivity(teh_spec(4, 4, 8), 1, trials, 0)
             assert str(raised.value) == f"trials must be >= 1, got {trials}"
+
+    def test_seed_and_node_cap_must_be_ints(self):
+        # Neither changes the value, yet each is type-tested before any work.
+        spec = teh_spec(4, 4, 8)
+        for seed in (1.5, True, "x", None):
+            match = f"^seed must be an int, got {re.escape(repr(seed))}$"
+            with pytest.raises(CountOutOfRangeError, match=match):
+                monte_carlo_connectivity(spec, 1, 1, seed)
+        match = "^node_cap must be an int, got None$"
+        with pytest.raises(CountOutOfRangeError, match=match):
+            monte_carlo_connectivity(spec, 1, 1, 0, node_cap=None)
 
     def test_failures_must_be_a_count(self):
         for failures in (-1, 0.5, True):

@@ -1,6 +1,9 @@
 """Closed-form distance, the router, and the moves and BFS it must agree
 with: the oracle's moves on triples and the built graph's searches."""
 
+import io
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -26,6 +29,7 @@ from tehnet import (
     route,
     teh_spec,
 )
+from tehnet.cli import run
 
 
 def shape(spec):
@@ -263,8 +267,11 @@ class TestRoute:
         assert path.moves == ("col_plus", "row_plus", "cube_dim_0")
 
     def test_json_serialization(self):
-        path = route(teh_spec(2, 2, 8), NodeAddress(0, 0, 0), NodeAddress(1, 1, 5))
-        doc = path.to_json_dict()
+        out = io.StringIO()
+        argv = ["route", "--family", "teh", "--l", "2", "--m", "2", "--cube", "8",
+                "--from", "0,0,0", "--to", "1,1,5", "--format", "json"]
+        assert run(argv, out, io.StringIO()) == 0
+        doc = json.loads(out.getvalue())
         assert doc["hops"][0] == "0,0,0"
         assert doc["moves"][-1] == "cube_dim_2"
         assert doc["length"] == 4

@@ -103,6 +103,10 @@ class TestCostTable:
         with pytest.raises(SpecError, match=match) as raised:
             table2_cells("foo")
         assert raised.value.__suppress_context__
+        # Every table id checks it, not only the one it applies to.
+        for table_id in (1, 2, 3):
+            with pytest.raises(SpecError, match=match):
+                render_table(table_id, "csv", "foo")
 
     def test_exact_convention_uses_rectangular_diameters(self):
         cells, _ = table2_cells(DiameterConvention.EXACT)
@@ -192,6 +196,11 @@ class TestScalingSequence:
             scaling_sequence(
                 ScalingMode.EXPAND_HYPERCUBE, teh_spec(4, 4, 16), 10, node_cap=4096
             )
+        # A cap is an int, though 256.0 compares equal to the 256-node step.
+        for cap in (256.0, True, "x", None):
+            match = f"^node_cap must be an int, got {re.escape(repr(cap))}$"
+            with pytest.raises(CountOutOfRangeError, match=match):
+                scaling_sequence("torus", teh_spec(4, 4, 8), 1, node_cap=cap)
 
     def test_torus_base_stays_torus(self):
         specs = scaling_sequence(ScalingMode.EXPAND_TORUS, torus_spec(4, 4), 1)

@@ -16,6 +16,7 @@ from strategies import (
 )
 from tehnet import (
     AddressOutOfRangeError,
+    CountOutOfRangeError,
     Family,
     FamilyMismatchError,
     IndexOutOfRangeError,
@@ -192,6 +193,11 @@ class TestBuildGraph:
     def test_node_cap(self):
         with pytest.raises(ResourceLimitError):
             build_graph(hypercube_spec(1024), node_cap=512)
+        # A cap is an int (a bool is not), though 128.5 compares with a count.
+        for cap in (128.5, 512.0, True, "x", None):
+            match = f"^node_cap must be an int, got {re.escape(repr(cap))}$"
+            with pytest.raises(CountOutOfRangeError, match=match):
+                build_graph(teh_spec(4, 4, 8), node_cap=cap)
 
     def test_distances_mark_unreached_nodes(self):
         # A path 0-1-2 plus two nodes with no edges.
