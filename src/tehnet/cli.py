@@ -22,7 +22,7 @@ from .metrics import (
     metrics_report,
     simple_degree,
 )
-from .reliability import monte_carlo_connectivity, reliability_table
+from .reliability import F_MAX_LIMIT, monte_carlo_connectivity, reliability_table
 from .routing import Path, route
 from .selfcheck import self_check
 from .tables import (
@@ -49,9 +49,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_RESOURCE = 3
-
-#: Largest ``reliability --f-max``, far above any degree a network here has.
-F_MAX_LIMIT = 1024
 
 _CONVENTIONS = {
     "exact": DiameterConvention.EXACT,

@@ -22,7 +22,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .topology import Family, NetworkSpec, Topology, _member
+from .topology import NetworkSpec, Topology, _member
 
 
 class DiameterConvention(str, Enum):
@@ -87,7 +87,7 @@ def square_torus_diameter(node_count: int) -> int:
 
 
 def _convention_diameter(spec: NetworkSpec, convention: DiameterConvention) -> int:
-    if convention is DiameterConvention.EXACT or spec.family is Family.HYPERCUBE:
+    if convention is DiameterConvention.EXACT:
         return diameter_closed(spec)
     return square_torus_diameter(spec.rows * spec.cols) + spec.cube_dim
 

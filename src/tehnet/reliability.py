@@ -17,7 +17,7 @@ keeps a link, and not once all its links have failed.
 
 from __future__ import annotations
 
-from .errors import SpecError, TooManyFaultsError
+from .errors import CountOutOfRangeError, SpecError, TooManyFaultsError
 from .metrics import simple_degree
 from .topology import (
     DEFAULT_NODE_CAP,
@@ -27,6 +27,9 @@ from .topology import (
     _check_node_cap,
     encode_address,
 )
+
+#: Largest ``f_max``, far above any degree a network here has.
+F_MAX_LIMIT = 1024
 
 
 def _round1_half_away(numerator: int, denominator: int) -> float:
@@ -75,9 +78,12 @@ def unreliability_percent(spec: NetworkSpec, failures: int) -> float | None:
 
 def reliability_table(specs: list[NetworkSpec], f_max: int) -> list[tuple]:
     """Reliability percentages, one cell per spec, with row ``f - 1`` for f
-    failures, f = 1..f_max.  An ``f_max`` that is not an ``int`` of at least 0
-    raises :class:`CountOutOfRangeError`, an empty ``specs`` :class:`SpecError`."""
+    failures, f = 1..f_max.  An ``f_max`` that is not an ``int`` from 0 to
+    :data:`F_MAX_LIMIT` raises :class:`CountOutOfRangeError`, an empty ``specs``
+    :class:`SpecError`, before any row is built."""
     _check_int("f_max", f_max, 0)
+    if f_max > F_MAX_LIMIT:
+        raise CountOutOfRangeError(f"f_max must be <= {F_MAX_LIMIT}, got {f_max}")
     if not specs:
         raise SpecError("at least one spec is required")
     return [
@@ -111,10 +117,10 @@ def monte_carlo_connectivity(
     at maximum distance from it).  No network here is cut by removing
     node 0 (the module docstring gives the 2-connectivity argument), so
     the value is 1.0 while node 0 keeps a link, and 0.0 once all of them
-    have failed unless node 0 is the destination itself.  ``trials`` is
-    still checked; neither it nor ``seed`` changes the value.  The degree
-    is node 0's in the simple graph, below ``spec.nominal_degree`` when a
-    ring has fewer than 3 nodes.
+    have failed, except on the one-node network, where node 0 is its own
+    destination.  ``trials`` is still checked; neither it nor ``seed``
+    changes the value.  The degree is node 0's in the simple graph, below
+    ``spec.nominal_degree`` when a ring has fewer than 3 nodes.
 
     Raises:
         CountOutOfRangeError: If ``trials``, ``failures``, ``seed`` or
@@ -131,4 +137,4 @@ def monte_carlo_connectivity(
         raise TooManyFaultsError(
             f"asked for {failures} failed incident links, node 0 has {degree}"
         )
-    return 1.0 if failures < degree or antipodal_node(spec) == 0 else 0.0
+    return 1.0 if failures < degree or spec.node_count == 1 else 0.0

@@ -141,11 +141,14 @@ class TestExitCodes:
         assert err == ""
 
     def test_usage_error_missing_dimension(self):
-        code, out, err = invoke("metrics", "--family", "teh", "--l", "4", "--m", "4")
-        assert code == 1
-        assert out == ""
-        assert err.startswith("usage error:")
-        assert err.count("\n") == 1
+        for spec_args, message in [
+            (("teh", "--l", "4", "--m", "4"), "teh requires --l, --m, and --cube"),
+            (("hypercube",), "hypercube requires --cube"),
+            (("torus", "--l", "4"), "torus requires --l and --m"),
+            (("torus", "--m", "4"), "torus requires --l and --m"),
+        ]:
+            code, out, err = invoke("metrics", "--family", *spec_args)
+            assert (code, out, err) == (1, "", f"usage error: {message}\n"), spec_args
 
     def test_usage_error_hypercube_with_torus_dims(self):
         code, _, err = invoke(
@@ -453,6 +456,16 @@ class TestSelfCheck:
         assert "FAIL  tables: table2 does not match its golden file" in out
         assert out.count("PASS") == 6
 
+        # A group that raises is reported as failed with the exception.
+        def missing(table_id):
+            raise FileNotFoundError(f"no data file for table{table_id}")
+
+        monkeypatch.setattr(selfcheck, "_golden_text", missing)
+        code, out, _ = invoke("self-check", "--max-nodes", "128")
+        assert code == 1
+        assert "FAIL  tables: FileNotFoundError: no data file for table1\n" in out
+        assert out.count("PASS") == 6
+
     def test_monte_carlo_group_fails_on_a_wrong_closed_form(self, monkeypatch):
         monkeypatch.setattr(selfcheck, "monte_carlo_connectivity", lambda *a: 1.0)
         code, out, _ = invoke("self-check", "--max-nodes", "128")
@@ -587,12 +600,22 @@ class TestSelfCheck:
         assert out.count("PASS") == 6
 
     def test_reliability_group_fails_on_a_wrong_complement(self, monkeypatch):
-        monkeypatch.setattr(
-            selfcheck, "unreliability_percent", selfcheck.reliability_percent
-        )
+        kept, lost = selfcheck.reliability_percent, selfcheck.unreliability_percent
+        monkeypatch.setattr(selfcheck, "unreliability_percent", kept)
         code, out, _ = invoke("self-check", "--max-nodes", "128")
         assert code == 1
         assert "FAIL  reliability-model" in out
+        assert out.count("PASS") == 6
+        # Swapped, each still complements the other, but reliability rises with f.
+        monkeypatch.setattr(selfcheck, "reliability_percent", lost)
+        monkeypatch.setattr(selfcheck, "unreliability_percent", kept)
+        code, out, _ = invoke("self-check", "--max-nodes", "128")
+        assert code == 1
+        expected = (
+            "FAIL  reliability-model: percentages not strictly decreasing to zero: "
+            "[0.0, 14.3, 28.6, 42.9, 57.1, 71.4, 85.7, 100.0]\n"
+        )
+        assert expected in out
         assert out.count("PASS") == 6
 
 
@@ -795,14 +818,18 @@ class TestMetricsWarnings:
 
 class TestEntryPoint:
     def test_module_invocation(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "tehnet", "table", "--id", "1", "--format", "csv"],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert result.returncode == 0
-        assert result.stdout == (GOLDEN_DIR / "table1.csv").read_text()
+        # Bytes through a real stdout; table 3's text prints an em dash.
+        for argv, golden in [
+            (("table", "--id", "1", "--format", "csv"), "table1.csv"),
+            (("table", "--id", "3", "--format", "text"), "table3.txt"),
+        ]:
+            result = subprocess.run(
+                [sys.executable, "-m", "tehnet", *argv],
+                capture_output=True,
+                timeout=60,
+            )
+            assert (result.returncode, result.stderr) == (0, b""), argv
+            assert result.stdout == (GOLDEN_DIR / golden).read_bytes(), argv
 
     def test_help_exits_zero(self):
         result = subprocess.run(

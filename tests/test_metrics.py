@@ -94,10 +94,17 @@ class TestDiameter:
             (teh_spec(4, 4, 8), 7),
             (torus_spec(3, 3), 2),
             (teh_spec(2, 2, 8), 5),
+            *((hypercube_spec(2**k), k) for k in range(15)),
+            (torus_spec(1, 1), 0),
+            (teh_spec(1, 1, 1), 0),
         ],
     )
     def test_closed_form(self, spec, expected):
+        # Both conventions agree on a square torus part, and a hypercube's
+        # is 1 x 1, so every spec here has one diameter.
         assert diameter_closed(spec) == expected
+        for convention in DiameterConvention:
+            assert metrics_report(spec, convention).diameter == expected
 
     @pytest.mark.parametrize(
         "spec,expected",

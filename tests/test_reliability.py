@@ -25,6 +25,7 @@ from tehnet import (
     reliability_percent,
     reliability_table,
     teh_spec,
+    torus_spec,
     unreliability_percent,
 )
 from tehnet.reliability import antipodal_node
@@ -257,6 +258,12 @@ class TestMonteCarlo:
     def test_isolated_at_full_degree(self):
         for seed in (0, 1, 99):
             assert monte_carlo_connectivity(teh_spec(4, 4, 8), 7, 50, seed) == 0.0
+        # Node 0 is its own destination only on the one-node network.
+        for k in range(15):
+            spec = hypercube_spec(2**k)
+            assert monte_carlo_connectivity(spec, k, 1, 0) == (0.0 if k else 1.0)
+        for spec in (torus_spec(1, 1), teh_spec(1, 1, 1)):
+            assert monte_carlo_connectivity(spec, 0, 1, 0) == 1.0
 
     def test_deterministic_for_a_seed(self):
         first = monte_carlo_connectivity(teh_spec(4, 4, 16), 4, 300, 7)
@@ -276,6 +283,9 @@ class TestMonteCarlo:
         spec = teh_spec(4, 4, 8)
         # (2, 2, 7) is the first address at the full diameter 2 + 2 + 3.
         assert antipodal_node(spec) == 87
+        # A hypercube's is the all-ones label, node 0 only for one node.
+        for k in range(15):
+            assert antipodal_node(hypercube_spec(2**k)) == 2**k - 1
 
     @pytest.mark.parametrize(
         "spec", [*SMALL_SPECS, teh_spec(16, 16, 64)],
@@ -283,6 +293,7 @@ class TestMonteCarlo:
     )
     def test_antipodal_matches_scan(self, spec):
         assert antipodal_node(spec) == antipodal_by_scan(spec)
+        assert (antipodal_node(spec) == 0) == (spec.node_count == 1)
 
     def test_too_many_incident_faults(self):
         with pytest.raises(TooManyFaultsError):

@@ -1,7 +1,6 @@
 """Smoke tests: the scripts in scripts/ run and reproduce the shipped tables."""
 
 import io
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,15 +13,12 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def run_script(name, *args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
+    # The environment is passed on unchanged, so the script imports the
+    # tehnet the tests import: src/ under PYTHONPATH=src, else the installed one.
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True,
         text=True,
-        env=env,
         timeout=120,
     )
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tehnet.reliability
 from tehnet import (
     CountOutOfRangeError,
     DiameterConvention,
@@ -25,6 +26,7 @@ from tehnet import (
     teh_spec,
     torus_spec,
 )
+from tehnet.reliability import F_MAX_LIMIT
 from tehnet.tables import (
     NETWORK_KEYS,
     PROCESSOR_COUNTS,
@@ -148,12 +150,19 @@ class TestReliabilityGrid:
         with pytest.raises(SpecError, match="^at least one spec is required$"):
             reliability_table([], 3)
 
-    def test_f_max_is_a_count(self):
+    def test_f_max_is_a_count(self, monkeypatch):
         assert reliability_table(list(TABLE3_SPECS), 0) == []
+        assert len(reliability_table(list(TABLE3_SPECS), F_MAX_LIMIT)) == F_MAX_LIMIT
         for f_max in (-1, 2.0, True):
             match = rf"^f_max must be >= 0, got {re.escape(str(f_max))}$"
             with pytest.raises(CountOutOfRangeError, match=match):
                 reliability_table(list(TABLE3_SPECS), f_max)
+        # Above the limit it is refused before a single cell is computed.
+        monkeypatch.setattr(tehnet.reliability, "reliability_percent", None)
+        for f_max in (F_MAX_LIMIT + 1, 10**9):
+            match = f"^f_max must be <= 1024, got {f_max}$"
+            with pytest.raises(CountOutOfRangeError, match=match):
+                reliability_table([teh_spec(4, 4, 8)], f_max)
 
     def test_zero_diagonal(self):
         degrees = [spec.nominal_degree for spec in TABLE3_SPECS]
@@ -219,13 +228,20 @@ class TestScalingSequence:
         ]
 
     def test_csv_rendering(self):
-        out = io.StringIO()
-        argv = ["scale", "--family", "teh", "--l", "4", "--m", "4", "--cube", "16",
-                "--mode", "torus", "--steps", "2", "--format", "csv"]
-        assert run(argv, out, io.StringIO()) == 0
-        lines = out.getvalue().splitlines()
-        assert lines[0].startswith("step,mode,family")
-        assert lines[1] == "1,torus,teh,4,8,16,512,8,false"
+        # A hypercube base grown in its torus part becomes teh.
+        for spec_args, steps in [
+            (("teh", "--l", "4", "--m", "4", "--cube", "16"),
+             ["1,torus,teh,4,8,16,512,8,false", "2,torus,teh,8,8,16,1024,8,false"]),
+            (("hypercube", "--cube", "16"),
+             ["1,torus,teh,1,2,16,32,8,false", "2,torus,teh,2,2,16,64,8,false"]),
+        ]:
+            out, err = io.StringIO(), io.StringIO()
+            argv = ["scale", "--family", *spec_args, "--mode", "torus", "--steps", "2",
+                    "--format", "csv"]
+            assert (run(argv, out, err), err.getvalue()) == (0, ""), spec_args
+            lines = out.getvalue().splitlines()
+            assert lines[0].startswith("step,mode,family")
+            assert lines[1:] == steps, spec_args
 
 
 class TestRenderTable:
