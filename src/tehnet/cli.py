@@ -486,4 +486,8 @@ def run(
 
 
 def main() -> None:
+    # Output is UTF-8 whatever the locale: table 3 and the reliability
+    # grid print an em dash, and the bytes must equal the goldens.
+    sys.stdout.reconfigure(encoding="utf-8")
+    sys.stderr.reconfigure(encoding="utf-8")
     sys.exit(run())

@@ -7,6 +7,7 @@ adjacency, the reference router and the searches are all derived from it,
 so library results have something external to agree with.
 """
 
+import functools
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
@@ -36,8 +37,14 @@ def moves(rows, cols, cube_nodes, node):
 
 def apply_move(rows, cols, cube_nodes, node, label):
     """The image of ``node`` under the move named ``label``."""
-    images = {name: image for name, image, _ in moves(rows, cols, cube_nodes, node)}
-    return images[label]
+    return _images(rows, cols, cube_nodes, node)[label]
+
+
+# The reference router takes one move per hop, and the all-pairs routing
+# test asks for the same few thousand nodes' images again and again.
+@functools.lru_cache(maxsize=1 << 14)
+def _images(rows, cols, cube_nodes, node):
+    return {name: image for name, image, _ in moves(rows, cols, cube_nodes, node)}
 
 
 def neighbors(rows, cols, cube_nodes, node):

@@ -2,21 +2,16 @@
 
 Each test prints a single PASS line on success so a verbose run doubles
 as a checklist.  Expected table cells are frozen here independently of
-the golden files used elsewhere.
+the golden files used elsewhere.  The closed forms' agreement with the
+brute-force oracles is checked once each, in test_routing.py (route,
+distance and both searches on every pair), test_metrics.py (links and
+diameter) and self-check.
 """
-
-from itertools import product
 
 from tehnet import (
     ScalingMode,
-    build_graph,
-    decode_address,
-    diameter_bfs,
-    distance_closed,
-    link_count_closed,
     monte_carlo_connectivity,
     reliability_percent,
-    route,
     scaling_sequence,
     table1_cells,
     table2_cells,
@@ -90,52 +85,6 @@ def test_table3_reproduction():
     print("PASS table-3 reliability: 36/36 grid positions exact")
 
 
-def test_oracle_equivalence_links():
-    """Constructed edge counts equal the closed form on the small grid."""
-    checked = 0
-    for rows, cols, cube in product((3, 4, 5), (3, 4, 5), (1, 2, 4, 8)):
-        spec = teh_spec(rows, cols, cube)
-        assert len(build_graph(spec).edges) == link_count_closed(spec), spec
-        checked += 1
-    assert checked == 36
-    print(f"PASS links oracle: {checked} specs, built == closed form")
-
-
-def test_oracle_equivalence_diameter():
-    """All-pairs BFS diameter equals floor(l/2)+floor(m/2)+n on the grid."""
-    checked = 0
-    for rows, cols, cube in product((3, 4, 5, 6), (3, 4, 5, 6), (1, 2, 4, 8)):
-        spec = teh_spec(rows, cols, cube)
-        if spec.node_count > 4096:
-            continue
-        expected = rows // 2 + cols // 2 + spec.cube_dim
-        topology = build_graph(spec)
-        assert diameter_bfs(topology) == expected, spec
-        for source in range(spec.node_count):
-            assert max(topology.distances(source)) == expected, (spec, source)
-        checked += 1
-    assert checked == 64
-    print(f"PASS diameter oracle: {checked} specs, BFS == closed form")
-
-
-def test_routing_correctness():
-    """route() is valid and shortest for every ordered pair on four specs."""
-    pairs = 0
-    for dims in ((3, 3, 4), (4, 4, 2), (2, 2, 8), (4, 4, 8)):
-        spec = teh_spec(*dims)
-        topology = build_graph(spec)
-        nodes = [decode_address(spec, index) for index in range(spec.node_count)]
-        for source, src in enumerate(nodes):
-            # One search per source gives the BFS distance to every dst.
-            for dst, searched in zip(nodes, topology.distances(source)):
-                path = route(spec, src, dst)
-                closed = distance_closed(spec, src, dst)
-                assert path.hops[0] == src and path.hops[-1] == dst
-                assert path.length == closed == searched, (spec, src, dst)
-                pairs += 1
-    print(f"PASS routing: {pairs} ordered pairs, route == closed == BFS")
-
-
 def test_degree_and_scalability():
     """Torus growth keeps degree 8; cube growth walks degrees 7,8,9,10."""
     torus_specs = scaling_sequence(ScalingMode.EXPAND_TORUS, teh_spec(4, 4, 16), 4)
@@ -174,7 +123,8 @@ def test_reliability_monotonicity():
 
 
 def test_monte_carlo_endpoints():
-    """f=0 connects always, f=degree never; seed 42 is reproducible."""
+    """1.0 at f = 0 and 0.0 at f = 7, node 0's degree, the same for seeds
+    0, 7 and 42; two calls with the same arguments give the same value."""
     spec = teh_spec(4, 4, 8)
     for seed in (0, 7, 42):
         assert monte_carlo_connectivity(spec, 0, 1000, seed) == 1.0
@@ -182,4 +132,4 @@ def test_monte_carlo_endpoints():
     first = monte_carlo_connectivity(spec, 3, 1000, 42)
     second = monte_carlo_connectivity(spec, 3, 1000, 42)
     assert first == second
-    print("PASS monte-carlo: endpoints forced, seed 42 reproducible")
+    print("PASS monte-carlo: 1.0 at f=0, 0.0 at f=7, for seeds 0, 7 and 42")

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -818,18 +819,26 @@ class TestMetricsWarnings:
 
 class TestEntryPoint:
     def test_module_invocation(self):
-        # Bytes through a real stdout; table 3's text prints an em dash.
-        for argv, golden in [
-            (("table", "--id", "1", "--format", "csv"), "table1.csv"),
-            (("table", "--id", "3", "--format", "text"), "table3.txt"),
+        # Bytes through a real stdout; table 3's text prints an em dash,
+        # which stays UTF-8 whatever the stream's own encoding.
+        table3 = ("table", "--id", "3", "--format", "text")
+        for argv, golden, encoding in [
+            (("table", "--id", "1", "--format", "csv"), "table1.csv", None),
+            (table3, "table3.txt", None),
+            (table3, "table3.txt", "ascii"),
+            (table3, "table3.txt", "latin-1"),
         ]:
+            env = dict(os.environ)
+            if encoding is not None:
+                env["PYTHONIOENCODING"] = encoding
             result = subprocess.run(
                 [sys.executable, "-m", "tehnet", *argv],
                 capture_output=True,
+                env=env,
                 timeout=60,
             )
-            assert (result.returncode, result.stderr) == (0, b""), argv
-            assert result.stdout == (GOLDEN_DIR / golden).read_bytes(), argv
+            assert (result.returncode, result.stderr) == (0, b""), (argv, encoding)
+            assert result.stdout == (GOLDEN_DIR / golden).read_bytes(), (argv, encoding)
 
     def test_help_exits_zero(self):
         result = subprocess.run(

@@ -7,7 +7,12 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from bruteforce import adjacency_by_enumeration, apply_move, bfs_dist, route_by_moves
+from bruteforce import (
+    adjacency_by_enumeration,
+    apply_move,
+    route_by_moves,
+    single_source_dists,
+)
 from strategies import (
     NON_INT_ADDRESSES,
     SMALL_SPEC_IDS,
@@ -67,11 +72,14 @@ class TestApplyMove:
         assert apply_move(*shape(spec), there, label) == tuple(addr)
 
 
+#: Every small spec of at most 64 nodes, then teh(4, 4, 8), the smallest
+#: spec of table 3, for the all-pairs test.
 _REFERENCE_SPECS = [
     pytest.param(spec, id=spec_id)
     for spec, spec_id in zip(SMALL_SPECS, SMALL_SPEC_IDS)
     if spec.node_count <= 64
 ]
+_REFERENCE_SPECS.append(pytest.param(teh_spec(4, 4, 8), id="teh-4-4-8"))
 
 
 class TestDistanceClosed:
@@ -124,16 +132,6 @@ class TestDistanceClosed:
         assert distance_closed(spec, shift(a), shift(b)) == distance_closed(
             spec, a, b
         )
-
-    @pytest.mark.parametrize("spec", _REFERENCE_SPECS)
-    def test_matches_bfs_on_every_pair(self, spec):
-        # Rings of 1 and 2 included: there both ways round have the same
-        # length, or the ring has no other node.
-        topology = build_graph(spec)
-        nodes = [decode_address(spec, index) for index in range(spec.node_count)]
-        for source, src in enumerate(nodes):
-            closed = [distance_closed(spec, src, dst) for dst in nodes]
-            assert closed == topology.distances(source)
 
 
 _BAD_ADDRESSES = [
@@ -221,13 +219,22 @@ class TestRoute:
 
     @pytest.mark.parametrize("spec", _REFERENCE_SPECS)
     def test_matches_the_reference_router_on_every_pair(self, spec):
+        """On every ordered pair, ``route`` is the reference router's path,
+        and its length is ``distance_closed`` and the distance found by
+        both searches: ``Topology.distances`` on the built graph and the
+        oracle's on the enumerated adjacency.  Rings of 1 and 2 included:
+        there both ways round have the same length, or the ring has no
+        other node."""
+        topology = build_graph(spec)
+        oracle = adjacency_by_enumeration(*shape(spec))
         nodes = [decode_address(spec, index) for index in range(spec.node_count)]
-        for src in nodes:
-            for dst in nodes:
+        for source, src in enumerate(nodes):
+            # One search of each graph per source gives every dst's distance.
+            searched = topology.distances(source)
+            enumerated = single_source_dists(oracle, tuple(src))
+            for dst, bfs in zip(nodes, searched):
                 path = route(spec, src, dst)
                 hops, labels = route_by_moves(*shape(spec), tuple(src), tuple(dst))
-                assert [(h.row, h.col, h.cube) for h in path.hops] == hops
-                assert list(path.moves) == labels
                 # The router builds its records without their constructors;
                 # they must still be exactly the keyword-built ones.
                 assert type(path) is Path
@@ -237,6 +244,10 @@ class TestRoute:
                     hops=tuple(NodeAddress(*hop) for hop in hops),
                     moves=tuple(labels),
                 )
+                assert path.hops[0] == src and path.hops[-1] == dst
+                closed = distance_closed(spec, src, dst)
+                expected = enumerated[tuple(dst)]
+                assert path.length == closed == bfs == expected, (src, dst)
 
     def test_flips_only_the_differing_cube_bits(self):
         spec = hypercube_spec(1 << 20)
@@ -308,20 +319,6 @@ class TestBfsDistance:
         message = rf"^source {source} outside 0\.\.7$"
         with pytest.raises(IndexOutOfRangeError, match=message):
             topology.distances(source)
-
-    @pytest.mark.parametrize("dims", [(3, 3, 4), (4, 4, 2), (2, 2, 8)])
-    def test_all_routes_match_both_oracles(self, dims):
-        """route length == closed form == library BFS == external BFS."""
-        spec = teh_spec(*dims)
-        topology = build_graph(spec)
-        oracle = adjacency_by_enumeration(*dims)
-        nodes = [decode_address(spec, index) for index in range(spec.node_count)]
-        for source, src in enumerate(nodes):
-            for dst, searched in zip(nodes, topology.distances(source)):
-                expected = bfs_dist(oracle, tuple(src), tuple(dst))
-                assert distance_closed(spec, src, dst) == expected
-                assert searched == expected
-                assert route(spec, src, dst).length == expected
 
     def test_sampled_pairs_on_a_larger_network(self):
         import random
