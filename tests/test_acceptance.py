@@ -3,9 +3,9 @@
 Each test prints a single PASS line on success so a verbose run doubles
 as a checklist.  Expected table cells are frozen here independently of
 the golden files used elsewhere.  The closed forms' agreement with the
-brute-force oracles is checked once each, in test_routing.py (route,
-distance and both searches on every pair), test_metrics.py (links and
-diameter) and self-check.
+brute-force oracles is checked in test_routing.py (route, distance and
+both searches on every pair), test_metrics.py (links and diameter) and
+self-check.
 """
 
 from tehnet import (

@@ -79,6 +79,17 @@ class TestLinkCount:
         assert simple == len(build_graph(spec).edges)
 
 
+#: Every teh spec with l, m <= 6 and N <= 8.
+_TEH_GRID = [
+    teh_spec(rows, cols, cube)
+    for rows in range(1, 7)
+    for cols in range(1, 7)
+    for cube in (1, 2, 4, 8)
+]
+#: The BFS-diameter tests' specs.
+_DIAMETER_SPECS = [*_TEH_GRID, hypercube_spec(16), torus_spec(3, 3)]
+
+
 class TestDiameter:
     @pytest.mark.parametrize(
         "spec,expected",
@@ -100,24 +111,36 @@ class TestDiameter:
         for convention in DiameterConvention:
             assert metrics_report(spec, convention).diameter == expected
 
+    @pytest.mark.parametrize(
+        "spec,expected",
+        [
+            (teh_spec(2, 2, 8), 5),
+            (hypercube_spec(16), 4),
+            (torus_spec(3, 3), 2),
+            *(
+                pytest.param(
+                    spec,
+                    diameter_closed(spec),
+                    id=f"teh-{spec.rows}-{spec.cols}-{spec.cube_nodes}",
+                )
+                for spec in _TEH_GRID
+                if spec != teh_spec(2, 2, 8)
+            ),
+        ],
+    )
+    def test_bfs_all_pairs(self, spec, expected):
+        """Every node's eccentricity in the built graph is the diameter."""
+        topology = build_graph(spec)
+        for source in range(spec.node_count):
+            assert max(topology.distances(source)) == expected, source
+
     def test_bfs_matches_closed_and_enumeration(self):
-        """``diameter_bfs`` and every node's eccentricity in the built graph
-        equal the closed form on every teh spec with l, m <= 6 and N <= 8,
-        and on hypercube(16) and torus(3, 3); so does the enumerated
-        adjacency's all-pairs diameter where both rings have at most 5
-        nodes."""
-        specs = [
-            teh_spec(rows, cols, cube)
-            for rows in range(1, 7)
-            for cols in range(1, 7)
-            for cube in (1, 2, 4, 8)
-        ]
-        for spec in [*specs, hypercube_spec(16), torus_spec(3, 3)]:
-            topology = build_graph(spec)
+        """``diameter_bfs`` equals the closed form on every spec of
+        ``_DIAMETER_SPECS``, and so does the enumerated adjacency's
+        all-pairs diameter where both rings have at most 5 nodes."""
+        for spec in _DIAMETER_SPECS:
             expected = diameter_closed(spec)
-            assert diameter_bfs(topology) == expected, spec
-            for source in range(spec.node_count):
-                assert max(topology.distances(source)) == expected, (spec, source)
+            assert diameter_bfs(build_graph(spec)) == expected, spec
             if spec.rows <= 5 and spec.cols <= 5:
                 oracle = adjacency_by_enumeration(spec.rows, spec.cols, spec.cube_nodes)
                 assert all_pairs_diameter(oracle) == expected, spec

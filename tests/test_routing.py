@@ -73,7 +73,8 @@ class TestApplyMove:
 
 
 #: Every small spec of at most 64 nodes, then teh(4, 4, 8), the smallest
-#: spec of table 3, for the all-pairs test.
+#: spec of table 3, for the all-pairs tests of the router and the closed
+#: form.
 _REFERENCE_SPECS = [
     pytest.param(spec, id=spec_id)
     for spec, spec_id in zip(SMALL_SPECS, SMALL_SPEC_IDS)
@@ -132,6 +133,23 @@ class TestDistanceClosed:
         assert distance_closed(spec, shift(a), shift(b)) == distance_closed(
             spec, a, b
         )
+
+    @pytest.mark.parametrize("spec", _REFERENCE_SPECS)
+    def test_matches_bfs_on_every_pair(self, spec):
+        """On every ordered pair, ``distance_closed`` equals the distance
+        found by both searches: ``Topology.distances`` on the built graph
+        and the oracle's on the enumerated adjacency.  Rings of 1 and 2
+        included: there both ways round have the same length, or the ring
+        has no other node."""
+        topology = build_graph(spec)
+        oracle = adjacency_by_enumeration(*shape(spec))
+        nodes = [decode_address(spec, index) for index in range(spec.node_count)]
+        for source, src in enumerate(nodes):
+            # One search of each graph per source gives every dst's distance.
+            enumerated = single_source_dists(oracle, tuple(src))
+            closed = [distance_closed(spec, src, dst) for dst in nodes]
+            assert closed == topology.distances(source), src
+            assert closed == [enumerated[tuple(dst)] for dst in nodes], src
 
 
 _BAD_ADDRESSES = [
@@ -219,20 +237,12 @@ class TestRoute:
 
     @pytest.mark.parametrize("spec", _REFERENCE_SPECS)
     def test_matches_the_reference_router_on_every_pair(self, spec):
-        """On every ordered pair, ``route`` is the reference router's path,
-        and its length is ``distance_closed`` and the distance found by
-        both searches: ``Topology.distances`` on the built graph and the
-        oracle's on the enumerated adjacency.  Rings of 1 and 2 included:
-        there both ways round have the same length, or the ring has no
-        other node."""
-        topology = build_graph(spec)
-        oracle = adjacency_by_enumeration(*shape(spec))
+        """On every ordered pair, ``route`` is the reference router's path.
+        Its length is checked against the searches by
+        ``TestBfsDistance.test_all_routes_match_both_oracles``."""
         nodes = [decode_address(spec, index) for index in range(spec.node_count)]
-        for source, src in enumerate(nodes):
-            # One search of each graph per source gives every dst's distance.
-            searched = topology.distances(source)
-            enumerated = single_source_dists(oracle, tuple(src))
-            for dst, bfs in zip(nodes, searched):
+        for src in nodes:
+            for dst in nodes:
                 path = route(spec, src, dst)
                 hops, labels = route_by_moves(*shape(spec), tuple(src), tuple(dst))
                 # The router builds its records without their constructors;
@@ -245,9 +255,6 @@ class TestRoute:
                     moves=tuple(labels),
                 )
                 assert path.hops[0] == src and path.hops[-1] == dst
-                closed = distance_closed(spec, src, dst)
-                expected = enumerated[tuple(dst)]
-                assert path.length == closed == bfs == expected, (src, dst)
 
     def test_flips_only_the_differing_cube_bits(self):
         spec = hypercube_spec(1 << 20)
@@ -319,6 +326,20 @@ class TestBfsDistance:
         message = rf"^source {source} outside 0\.\.7$"
         with pytest.raises(IndexOutOfRangeError, match=message):
             topology.distances(source)
+
+    @pytest.mark.parametrize("dims", [(3, 3, 4), (4, 4, 2), (2, 2, 8), (4, 4, 8)])
+    def test_all_routes_match_both_oracles(self, dims):
+        """On every ordered pair, ``route``'s length equals the distance
+        found by both searches."""
+        spec = teh_spec(*dims)
+        topology = build_graph(spec)
+        oracle = adjacency_by_enumeration(*dims)
+        nodes = [decode_address(spec, index) for index in range(spec.node_count)]
+        for source, src in enumerate(nodes):
+            enumerated = single_source_dists(oracle, tuple(src))
+            lengths = [route(spec, src, dst).length for dst in nodes]
+            assert lengths == topology.distances(source), src
+            assert lengths == [enumerated[tuple(dst)] for dst in nodes], src
 
     def test_sampled_pairs_on_a_larger_network(self):
         import random
